@@ -26,6 +26,7 @@
 use crate::analysis::openclosed::OpenClosedReport;
 use crate::analysis::reachability::Reachability;
 use crate::experiment::{Experiment, ExperimentConfig, ExperimentData};
+use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::invariants::{InvariantChecker, InvariantReport};
 use bcd_netsim::{stream_seed, ChaosConfig, ChaosSpec};
 use bcd_obs::{ObsEnv, TraceConfig};
@@ -41,19 +42,12 @@ const CHAOS_SEED_STREAM: u64 = 0x4348_414F_5353_4431; // "CHAOSSD1"
 /// off-path spoofed-response adversary.
 pub const SWEEP_PROFILES: [&str; 5] = ["drizzle", "bursty", "jittery", "crashy", "spoofy"];
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The canonical chaos seed for `(world_seed, profile)`: any sweep or
 /// replay that starts from the same pair compiles the same schedule.
 pub fn chaos_seed(world_seed: u64, profile: &str) -> u64 {
-    stream_seed(world_seed, CHAOS_SEED_STREAM ^ fnv1a(profile.as_bytes()))
+    let mut h = FNV_OFFSET;
+    fnv1a(&mut h, profile.as_bytes());
+    stream_seed(world_seed, CHAOS_SEED_STREAM ^ h)
 }
 
 /// The canonical [`ChaosConfig`] for `(world_seed, profile)`.
@@ -73,19 +67,9 @@ pub fn run_clean(base: &ExperimentConfig) -> ExperimentData {
 
 /// Run `base` under a chaos config.
 pub fn run_chaotic(base: &ExperimentConfig, chaos: ChaosConfig) -> ExperimentData {
-    run_chaotic_observed(base, chaos, &ObsEnv::disabled())
-}
-
-/// [`run_chaotic`] with explicit observability switches — how [`run_checked`]
-/// arms the causal flight recorder for violation dumps.
-pub fn run_chaotic_observed(
-    base: &ExperimentConfig,
-    chaos: ChaosConfig,
-    env: &ObsEnv,
-) -> ExperimentData {
     let mut cfg = base.clone();
     cfg.world.chaos = Some(chaos);
-    Experiment::run_observed(cfg, env)
+    Experiment::run_observed(cfg, &ObsEnv::disabled())
 }
 
 /// Replay a printed `BCD_CHAOS=...` line (its `seed=..,profile=..` part)
@@ -99,13 +83,8 @@ pub fn replay(base: &ExperimentConfig, spec: &ChaosSpec) -> Option<ExperimentDat
 /// with equal digests saw the same queries arrive at the same instants
 /// from the same sources over the same transports.
 pub fn entries_digest(data: &ExperimentData) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = FNV_OFFSET;
+    let mut mix = |bytes: &[u8]| fnv1a(&mut h, bytes);
     for e in &data.entries {
         mix(&e.time.as_nanos().to_le_bytes());
         mix(e.qname.to_string().as_bytes());
@@ -141,7 +120,9 @@ pub fn run_checked(
     clean: &ExperimentData,
 ) -> ChaosRun {
     let spec = chaos.spec();
-    let data = run_chaotic_observed(base, chaos, &ObsEnv::with_trace(TraceConfig::default()));
+    let mut cfg = base.clone();
+    cfg.world.chaos = Some(chaos);
+    let data = Experiment::run_observed(cfg, &ObsEnv::with_trace(TraceConfig::default()));
     let invariants = InvariantChecker::check_full(clean, &data);
     ChaosRun {
         spec,

@@ -21,31 +21,29 @@
 //!   ([`crate::sources::SourcePlan::build_deterministic`]), so both methods
 //!   probe byte-identical `(src, dst)` pairs and the CRP pass is itself
 //!   byte-identical across any `BCD_SHARDS` × `BCD_SCHED` layout.
-//! * **Separate pass** — the CRP scan runs on its own engine runtimes over
-//!   the same shared [`World`] and [`TargetSet`]. Nothing leaks between
-//!   methods: method A's caches, logs, and RNG streams never see a CRP
-//!   packet, so adding the CRP pass changes no method-A byte.
+//! * **Separate pass** — the CRP scan is one [`Pass`] value run through
+//!   the same [`run_pass`] as method A, on its own engine runtimes over the
+//!   same shared [`World`](bcd_worldgen::World) and [`TargetSet`]: the
+//!   scanner walks its schedule without tailing the log (no follow-ups, no
+//!   human noise). Nothing leaks between methods: method A's caches, logs,
+//!   and RNG streams never see a CRP packet, so adding the CRP pass
+//!   changes no method-A byte.
 //! * **Own namespace** — CRP probes use their own keyword
 //!   ([`crp_keyword`]), so a CRP log entry can never decode as a method-A
 //!   probe or vice versa.
+//!
+//! [`TargetSet`]: crate::targets::TargetSet
 
-use crate::experiment::{run_pool, ExperimentConfig, SCHEDULE_SALT_STREAM};
-use crate::hash::{fnv1a, FNV_OFFSET};
-use crate::qname::{QnameCodec, SuffixKind};
-use crate::schedule::{self, LaneLayout, Schedule, ScheduleMode};
-use crate::shard;
-use crate::sources::SourceCategory;
-use crate::targets::TargetSet;
-use bcd_dns::QueryLogEntry;
-use bcd_dnswire::{Message, MessageView, RType, WireWriter, MAX_NAME_WIRE_LEN};
-use bcd_netsim::{
-    stream_seed, HostConfig, Merge, NetCounters, Node, NodeCtx, Packet, SimDuration, SimTime,
-    StackPolicy, Transport,
+use crate::analysis::agreement::AgreementMatrix;
+use crate::experiment::{
+    run_pass, Experiment, ExperimentConfig, ExperimentData, Pass, PassOutcome,
 };
+use crate::qname::QnameCodec;
+use crate::sources::SourceCategory;
+use bcd_dns::QueryLogEntry;
+use bcd_netsim::{FlightRecorder, NetCounters};
 use bcd_obs::{Det, ObsEnv};
-use bcd_worldgen::{World, WorldRuntime};
-use std::net::IpAddr;
-use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// RNG stream id for the CRP scanner's packet-identity salt (txid/sport
 /// derivation). Distinct from the experiment's noise stream so the two
@@ -83,150 +81,6 @@ pub struct CrpStats {
     pub outage_deferrals: u64,
 }
 
-impl Merge for CrpStats {
-    fn merge(&mut self, other: CrpStats) {
-        self.probes_sent += other.probes_sent;
-        self.responses_received += other.responses_received;
-        self.opted_out += other.opted_out;
-        self.outage_deferrals += other.outage_deferrals;
-    }
-}
-
-/// Configuration for one shard's [`CrpScanner`] node.
-struct CrpScannerConfig {
-    codec: QnameCodec,
-    schedule: Schedule,
-    targets: Arc<TargetSet>,
-    noise_salt: u64,
-    opt_outs: Vec<(SimTime, bcd_netsim::Prefix)>,
-    outages: Vec<(SimTime, SimDuration)>,
-}
-
-const TOK_WALK: u64 = 0;
-
-/// The CRP measurement node: a plain schedule walker. No follow-up
-/// batteries, no log polling, no human-noise injection — the inbound
-/// method's verdict is read entirely from the authoritative log after the
-/// run.
-struct CrpScanner {
-    cfg: CrpScannerConfig,
-    next_query: usize,
-    scratch: WireWriter,
-    stats: CrpStats,
-}
-
-impl CrpScanner {
-    fn new(cfg: CrpScannerConfig) -> CrpScanner {
-        CrpScanner {
-            cfg,
-            next_query: 0,
-            scratch: WireWriter::new(),
-            stats: CrpStats::default(),
-        }
-    }
-
-    /// Mirror of the experiment scanner's packet-identity derivation: port
-    /// and txid are hashes of the qname (which encodes the probe identity),
-    /// never of RNG stream position, so every packet byte is layout-free.
-    fn send_dns(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        src: IpAddr,
-        dst: IpAddr,
-        qname: bcd_dnswire::Name,
-    ) {
-        let mut canon = [0u8; MAX_NAME_WIRE_LEN];
-        let n = qname.canonical_into(&mut canon);
-        let mut h = FNV_OFFSET;
-        fnv1a(&mut h, &self.cfg.noise_salt.to_le_bytes());
-        fnv1a(&mut h, &canon[..n]);
-        fnv1a(&mut h, b"probe");
-        let txid = (h >> 32) as u16;
-        let sport = 20_000 + (h % 40_000) as u16;
-        let trace = if ctx.tracing() {
-            ctx.sample_trace(std::str::from_utf8(&canon[..n]).unwrap_or("."))
-        } else {
-            0
-        };
-        let msg = Message::query(txid, qname, RType::A);
-        msg.encode_into(&mut self.scratch);
-        ctx.send(Packet::udp(src, dst, sport, 53, self.scratch.as_bytes()).with_trace(trace));
-    }
-
-    /// If `now` falls inside a configured outage, the time it ends.
-    fn outage_end(&self, now: SimTime) -> Option<SimTime> {
-        self.cfg
-            .outages
-            .iter()
-            .filter(|(start, len)| now >= *start && now < *start + *len)
-            .map(|(start, len)| *start + *len)
-            .max()
-    }
-
-    fn emit_scheduled(&mut self, ctx: &mut NodeCtx<'_>) {
-        let now = ctx.now();
-        if let Some(end) = self.outage_end(now) {
-            self.stats.outage_deferrals += 1;
-            ctx.set_timer(end - now, TOK_WALK);
-            return;
-        }
-        while self.next_query < self.cfg.schedule.len() {
-            let i = self.next_query;
-            let at = self.cfg.schedule.at(i);
-            if at > now {
-                ctx.set_timer(at - now, TOK_WALK);
-                return;
-            }
-            self.next_query += 1;
-            let t = self
-                .cfg
-                .targets
-                .get(self.cfg.schedule.target_index(i) as usize);
-            let source = self.cfg.schedule.source(i, t.addr.is_ipv6());
-            if self
-                .cfg
-                .opt_outs
-                .iter()
-                .any(|(when, p)| now >= *when && p.contains(t.addr))
-            {
-                self.stats.opted_out += 1;
-                continue;
-            }
-            let qname = self
-                .cfg
-                .codec
-                .encode(now, source, t.addr, t.asn.0, SuffixKind::Main);
-            self.stats.probes_sent += 1;
-            self.send_dns(ctx, source, t.addr, qname);
-        }
-    }
-}
-
-impl Node for CrpScanner {
-    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        if let Some(at) = self.cfg.schedule.first_at() {
-            ctx.set_timer(at - SimTime::ZERO, TOK_WALK);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
-        if token == TOK_WALK {
-            self.emit_scheduled(ctx);
-        }
-    }
-
-    fn on_packet(&mut self, _ctx: &mut NodeCtx<'_>, pkt: Packet) {
-        // Stray responses to spoofed probes that routed back to the
-        // vantage; counted for accounting, never used as evidence.
-        let Transport::Udp(u) = &pkt.transport else {
-            return;
-        };
-        if MessageView::parse(&u.payload).is_ok_and(|v| v.qr()) {
-            self.stats.responses_received += 1;
-        }
-    }
-}
-
 /// Everything the agreement analysis needs from a completed CRP pass.
 pub struct CrpData {
     /// Codec bound to the CRP keyword — decodes only CRP entries.
@@ -243,198 +97,29 @@ pub struct CrpData {
     pub pending_deliveries: u64,
     /// Total probes the CRP schedule carried (census total).
     pub scheduled_probes: u64,
-}
-
-/// Run the inbound-SAV scan over an already-built world and target set —
-/// typically the ones method A just ran on, so the two passes share every
-/// planning artifact. Deterministic contract: byte-identical output for
-/// any `cfg.shards` / `cfg.workers` / `cfg.schedule_mode`.
-pub fn run_crp(cfg: &ExperimentConfig, world: &Arc<World>, targets: &Arc<TargetSet>) -> CrpData {
-    let sched_salt = stream_seed(cfg.world.seed, SCHEDULE_SALT_STREAM);
-    let lanes = schedule::lane_count(cfg.rate);
-    let filter = Some(&CRP_CATEGORIES[..]);
-    let census = schedule::census(
-        targets,
-        world.topo.routes(),
-        &world.v6_hitlist,
-        filter,
-        lanes,
-        sched_salt,
-        cfg.target_sample,
-    );
-    let layout = LaneLayout::new(
-        cfg.rate,
-        cfg.window,
-        census.total,
-        sched_salt,
-        cfg.target_sample,
-    );
-    let (lane_shard, shards) = shard::assign_lanes(&census.lane_counts, cfg.shards.max(1));
-    let n_workers = if cfg.workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        cfg.workers
-    }
-    .clamp(1, shards);
-
-    let parts: Vec<Schedule> = match cfg.schedule_mode {
-        ScheduleMode::Streaming => {
-            let build = |sid: usize| {
-                Schedule::build_lanes(
-                    targets,
-                    world.topo.routes(),
-                    &world.v6_hitlist,
-                    filter,
-                    &shard::lanes_of_shard(&lane_shard, sid),
-                    &census,
-                    &layout,
-                )
-            };
-            run_pool(n_workers, shards, build)
-        }
-        ScheduleMode::Global => {
-            let global = Schedule::build_global(
-                targets,
-                world.topo.routes(),
-                &world.v6_hitlist,
-                filter,
-                &census,
-                &layout,
-            );
-            global.partition_by_lane(targets, &lane_shard, shards)
-        }
-    };
-    debug_assert_eq!(
-        parts.iter().map(|p| p.len() as u64).sum::<u64>(),
-        census.total
-    );
-    let sched_end = parts.iter().map(|p| p.end).max().unwrap_or(SimTime::ZERO);
-    let outage_total = cfg
-        .outages
-        .iter()
-        .fold(SimDuration::ZERO, |acc, (_, len)| acc + *len);
-    let run_until = sched_end + outage_total + cfg.drain;
-
-    let keyword = crp_keyword(&cfg.keyword);
-    let parts: Vec<Mutex<Option<Schedule>>> =
-        parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
-    let outcomes = run_pool(n_workers, shards, |sid| {
-        let part = parts[sid]
-            .lock()
-            .unwrap()
-            .take()
-            .expect("CRP shard partition claimed twice");
-        run_crp_shard(world, cfg, &keyword, sid, part, targets, run_until)
-    });
-
-    // Deterministic merge in shard-id order: concatenate the pre-sorted
-    // per-shard streams and re-establish the canonical order (the CRP log
-    // is small — internal categories only — so a full sort is cheap).
-    let mut entries = Vec::new();
-    let mut stats = CrpStats::default();
-    let mut counters = NetCounters::default();
-    let mut events = 0u64;
-    let mut budget_exhausted = false;
-    let mut pending_deliveries = 0u64;
-    for o in outcomes {
-        entries.extend(o.entries);
-        stats.merge(o.stats);
-        counters.merge(o.counters);
-        events += o.events;
-        budget_exhausted |= o.budget_exhausted;
-        pending_deliveries += o.pending_deliveries;
-    }
-    shard::canonical_sort(&mut entries);
-
-    CrpData {
-        codec: QnameCodec::new(&world.auth.apex, &keyword),
-        entries,
-        stats,
-        counters,
-        events,
-        budget_exhausted,
-        pending_deliveries,
-        scheduled_probes: census.total,
-    }
-}
-
-struct CrpShardOutcome {
-    entries: Vec<QueryLogEntry>,
-    stats: CrpStats,
-    counters: NetCounters,
-    events: u64,
-    budget_exhausted: bool,
-    pending_deliveries: u64,
-}
-
-fn run_crp_shard(
-    world: &Arc<World>,
-    cfg: &ExperimentConfig,
-    keyword: &str,
-    shard_id: usize,
-    schedule: Schedule,
-    targets: &Arc<TargetSet>,
-    run_until: SimTime,
-) -> CrpShardOutcome {
-    let owned: std::collections::HashSet<bcd_netsim::Asn> = (0..schedule.len())
-        .map(|i| targets.get(schedule.target_index(i) as usize).asn)
-        .collect();
-    let mut wrt: WorldRuntime = world.spawn_for(Some(&owned));
-    let scanner_cfg = CrpScannerConfig {
-        codec: QnameCodec::new(&world.auth.apex, keyword),
-        schedule,
-        targets: targets.clone(),
-        noise_salt: stream_seed(cfg.world.seed, CRP_NOISE_STREAM),
-        opt_outs: cfg.opt_outs.clone(),
-        outages: cfg.outages.clone(),
-    };
-    let scanner_host = wrt.net.add_host(
-        HostConfig {
-            addrs: vec![world.scanner.v4, world.scanner.v6],
-            asn: world.scanner.asn,
-            stack: StackPolicy::strict(),
-        },
-        Box::new(CrpScanner::new(scanner_cfg)),
-    );
-    wrt.net.reseed_noise(stream_seed(
-        cfg.world.seed,
-        CRP_SHARD_NOISE_STREAM ^ shard_id as u64,
-    ));
-    wrt.net.run_until(run_until);
-
-    let mut entries = wrt.log.borrow().entries().to_vec();
-    shard::canonical_sort(&mut entries);
-    let scanner = wrt
-        .net
-        .node::<CrpScanner>(scanner_host)
-        .expect("CRP scanner node");
-    CrpShardOutcome {
-        entries,
-        stats: scanner.stats.clone(),
-        counters: wrt.net.counters.clone(),
-        events: wrt.net.events_processed(),
-        budget_exhausted: wrt.net.budget_exhausted,
-        pending_deliveries: wrt.net.pending_deliveries(),
-    }
+    /// Merged causal span flight recorder, when the run armed one
+    /// (`BCD_TRACE`); byte-identical at any shard count, like method A's.
+    pub flight: Option<FlightRecorder>,
+    /// Effective shard count of the CRP pass.
+    pub shards: usize,
 }
 
 /// Both methods plus their AS-level agreement matrix.
 pub struct DualRun {
     /// Method A: the paper's outbound spoofed-source survey.
-    pub a: crate::experiment::ExperimentData,
+    pub a: ExperimentData,
     /// Method B: the inbound CRP scan over the same world and targets.
     pub b: CrpData,
     /// The cross-method agreement matrix, scored against ground truth.
-    pub matrix: crate::analysis::agreement::AgreementMatrix,
+    pub matrix: AgreementMatrix,
 }
 
 /// Run both methods back to back and compute the agreement matrix.
 ///
 /// The method-A pass runs first and unchanged (its reports and goldens are
 /// byte-identical with or without the CRP pass); the CRP pass then reuses
-/// its world and target set. Agreement metrics are appended to the run's
+/// its world and target set, recording its phases under a `crp.` prefix
+/// inside one `crp-run` phase. Agreement metrics are appended to the run's
 /// observation aggregate as [`Det::Stable`] counters, and the combined
 /// artifact is exported once if `env` names a JSONL sink.
 pub fn run_dual(cfg: ExperimentConfig, env: &ObsEnv) -> DualRun {
@@ -442,12 +127,45 @@ pub fn run_dual(cfg: ExperimentConfig, env: &ObsEnv) -> DualRun {
     // Defer the JSONL export until the agreement counters are in.
     let mut quiet = env.clone();
     quiet.jsonl_path = None;
-    let mut a = crate::experiment::Experiment::run_observed(cfg, &quiet);
-    let t0 = std::time::Instant::now();
-    let b = run_crp(&a.cfg, &a.world, &a.targets);
+    let mut a = Experiment::run_observed(cfg, &quiet);
+    let t0 = Instant::now();
+    // The CRP scan: internal source categories only, its own keyword and
+    // RNG streams, and a scanner that only walks its schedule.
+    let pass = Pass {
+        phase_prefix: "crp.",
+        category_filter: Some(&CRP_CATEGORIES),
+        keyword: crp_keyword(&a.cfg.keyword),
+        noise_stream: CRP_NOISE_STREAM,
+        shard_noise_stream: CRP_SHARD_NOISE_STREAM,
+        tails_log: false,
+    };
+    let PassOutcome {
+        merged,
+        census,
+        shards,
+        ..
+    } = run_pass(&pass, &a.world, &a.targets, &a.cfg, env, &mut a.obs.profile);
+    let s = &merged.scanner_stats;
+    let b = CrpData {
+        codec: QnameCodec::new(&a.world.auth.apex, &pass.keyword),
+        stats: CrpStats {
+            probes_sent: s.spoofed_sent,
+            responses_received: s.responses_received,
+            opted_out: s.opted_out,
+            outage_deferrals: s.outage_deferrals,
+        },
+        entries: merged.entries,
+        counters: merged.counters,
+        events: merged.events,
+        budget_exhausted: merged.budget_exhausted,
+        pending_deliveries: merged.pending_deliveries,
+        scheduled_probes: census.total,
+        flight: merged.flight,
+        shards,
+    };
     a.obs.profile.record("crp-run", t0.elapsed());
-    let t0 = std::time::Instant::now();
-    let matrix = crate::analysis::agreement::AgreementMatrix::compute(&a, &b);
+    let t0 = Instant::now();
+    let matrix = AgreementMatrix::compute(&a, &b);
     a.obs.profile.record("agreement", t0.elapsed());
     let agg = &mut a.obs.aggregate;
     let det = Det::Stable;

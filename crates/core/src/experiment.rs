@@ -8,8 +8,9 @@
 use crate::observe;
 use crate::qname::QnameCodec;
 use crate::scanner::{HumanNoise, Scanner, ScannerConfig, ScannerStats};
-use crate::schedule::{self, LaneLayout, Schedule, ScheduleMode};
+use crate::schedule::{self, LaneLayout, Schedule, ScheduleCensus, ScheduleMode};
 use crate::shard::{self, ShardOutcome};
+use crate::sources::SourceCategory;
 use crate::targets::TargetSet;
 use bcd_dns::QueryLogEntry;
 use bcd_dnswire::RCode;
@@ -17,7 +18,7 @@ use bcd_netsim::{
     stream_seed, FlightRecorder, HostConfig, NetCounters, SimDuration, SimTime, StackPolicy, Trace,
 };
 use bcd_obs::report::names;
-use bcd_obs::{Det, ObsEnv, RunObservation, RunProfile, TraceConfig};
+use bcd_obs::{Det, MetricsRegistry, ObsEnv, RunObservation, RunProfile};
 use bcd_worldgen::{World, WorldConfig, WorldRuntime};
 use std::net::IpAddr;
 use std::sync::{Arc, Mutex};
@@ -251,14 +252,7 @@ impl Experiment {
     /// stderr heartbeat.
     pub fn run_observed(cfg: ExperimentConfig, env: &ObsEnv) -> ExperimentData {
         let mut profile = RunProfile::new();
-        // Phase-transition heartbeat: the scanner's per-probe heartbeat only
-        // covers shard-run, so the orchestrator announces the other phases.
-        let announce = |name: &str| {
-            if env.progress_every.is_some() {
-                eprintln!("[bcd] phase {name}");
-            }
-        };
-        announce("worldgen-build");
+        announce(env, "worldgen-build");
         let t0 = Instant::now();
         let mut world = bcd_worldgen::build::build(cfg.world.clone());
         if cfg.wildcard_zone {
@@ -269,7 +263,7 @@ impl Experiment {
         // §3.1: extract targets from the DITL trace (or, for worlds built
         // with the streaming pipeline, from the pre-deduplicated candidate
         // list — the two paths yield identical target sets).
-        announce("target-extract");
+        announce(env, "target-extract");
         let t0 = Instant::now();
         let targets = if world.cfg.materialize_ditl {
             TargetSet::extract(&world.ditl2019, world.topo.routes())
@@ -279,140 +273,26 @@ impl Experiment {
         profile.record("target-extract", t0.elapsed());
         let targets = Arc::new(targets);
 
-        // §3.2 + §3.4 census: count every probe (per-target plan lengths,
-        // no RNG, no allocation) to fix the window extension, the lane
-        // occupancy and the lane → shard map before any schedule memory
-        // exists. Streaming and global constructors consume the same
-        // census, so they agree on the geometry by construction.
-        announce("schedule-census");
-        let t0 = Instant::now();
-        let sched_salt = stream_seed(cfg.world.seed, SCHEDULE_SALT_STREAM);
-        let lanes = schedule::lane_count(cfg.rate);
-        let filter = cfg.category_filter.as_deref();
-        let census = schedule::census(
-            &targets,
-            world.topo.routes(),
-            &world.v6_hitlist,
-            filter,
-            lanes,
-            sched_salt,
-            cfg.target_sample,
-        );
-        let layout = LaneLayout::new(
-            cfg.rate,
-            cfg.window,
-            census.total,
-            sched_salt,
-            cfg.target_sample,
-        );
-        let (lane_shard, shards) = shard::assign_lanes(&census.lane_counts, cfg.shards.max(1));
-        profile.record("schedule-census", t0.elapsed());
-
         let codec = QnameCodec::new(&world.auth.apex, &cfg.keyword);
 
         // Worldgen ran once; from here on the world is frozen and shared.
         let world = Arc::new(world);
 
-        // §3.4: per-shard streaming schedule construction. Each shard
-        // derives only its own lanes' probes (plans and phases are hashes
-        // of the canonical target bytes) and smooths them under the lanes'
-        // own rate quotas — the global query vec is never materialized.
-        // `BCD_SCHEDULE=global` swaps in the legacy-shaped oracle, which
-        // *does* materialize it, then partitions along the same lane map;
-        // the two are byte-equal (tests/schedule_stream.rs).
-        announce("schedule-build");
-        let n_workers = if cfg.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            cfg.workers
-        }
-        .clamp(1, shards);
-        let t0 = Instant::now();
-        let parts: Vec<Schedule> = match cfg.schedule_mode {
-            ScheduleMode::Streaming => {
-                let build = |sid: usize| {
-                    Schedule::build_lanes(
-                        &targets,
-                        world.topo.routes(),
-                        &world.v6_hitlist,
-                        filter,
-                        &shard::lanes_of_shard(&lane_shard, sid),
-                        &census,
-                        &layout,
-                    )
-                };
-                run_pool(n_workers, shards, build)
-            }
-            ScheduleMode::Global => {
-                let global = Schedule::build_global(
-                    &targets,
-                    world.topo.routes(),
-                    &world.v6_hitlist,
-                    filter,
-                    &census,
-                    &layout,
-                );
-                global.partition_by_lane(&targets, &lane_shard, shards)
-            }
+        let pass = Pass {
+            phase_prefix: "",
+            category_filter: cfg.category_filter.as_deref(),
+            keyword: cfg.keyword.clone(),
+            noise_stream: NOISE_SALT_STREAM,
+            shard_noise_stream: SHARD_NOISE_STREAM,
+            tails_log: true,
         };
-        let total_probes: u64 = parts.iter().map(|p| p.len() as u64).sum();
-        debug_assert_eq!(total_probes, census.total);
-        let sched_end = parts.iter().map(|p| p.end).max().unwrap_or(SimTime::ZERO);
-        profile.record("schedule-build", t0.elapsed());
-
-        // Run the scan plus drain time (outages push the real end out, the
-        // paper's "longer than the four weeks we had planned"). All shards
-        // simulate the same horizon — the *global* schedule end, which is
-        // the max over the per-shard ends.
-        let outage_total = cfg
-            .outages
-            .iter()
-            .fold(SimDuration::ZERO, |acc, (_, len)| acc + *len);
-        let run_until = sched_end + outage_total + cfg.drain;
-
-        // Shards run on a work-stealing pool: each worker claims the next
-        // unstarted shard id from a shared counter, spawns its own runtime
-        // (fresh nodes + logs) over the shared topology, and parks the
-        // outcome in the shard's slot. Imbalanced destination-AS partitions
-        // therefore pack onto whatever cores exist instead of pinning one
-        // thread per shard. Claim order is scheduling-dependent, but each
-        // shard's simulation is self-contained and the merge below walks
-        // slots in shard-id order — output bytes depend only on `shards`.
-        announce("shard-run");
-        let progress = env.progress_every;
-        let trace_cfg = env.trace.clone();
-        let parts: Vec<Mutex<Option<Schedule>>> =
-            parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
-        let outcomes: Vec<ShardOutcome> = run_pool(n_workers, shards, |sid| {
-            let part = parts[sid]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("shard partition claimed twice");
-            run_shard(
-                &world,
-                &cfg,
-                sid,
-                part,
-                &targets,
-                run_until,
-                progress,
-                trace_cfg.as_ref(),
-            )
-        });
-        for (sid, o) in outcomes.iter().enumerate() {
-            profile.record_shard_phase("shard-spawn", sid, o.spawn_wall);
-            profile.record_shard("shard-run", sid, o.wall, run_until);
-            profile.record_shard_phase("shard-extract", sid, o.extract_wall);
-        }
-        let per_shard: Vec<bcd_obs::MetricsRegistry> =
-            outcomes.iter().map(|o| o.metrics.clone()).collect();
-        announce("merge");
-        let t0 = Instant::now();
-        let merged = shard::merge_outcomes(outcomes);
-        profile.record("merge", t0.elapsed());
+        let PassOutcome {
+            merged,
+            per_shard,
+            census,
+            sched_end,
+            shards,
+        } = run_pass(&pass, &world, &targets, &cfg, env, &mut profile);
 
         // Deterministic aggregate from the *merged* artifacts; the fold of
         // the per-shard layout slices fills in whatever the stable side
@@ -430,7 +310,7 @@ impl Experiment {
         );
         // Schedule-construction accounting: probe totals and lane geometry
         // are pure functions of (seed, population, rate) — fully stable.
-        aggregate.add_counter(names::SCHEDULE_PROBES, &[], Det::Stable, total_probes);
+        aggregate.add_counter(names::SCHEDULE_PROBES, &[], Det::Stable, census.total);
         aggregate.add_counter(
             names::SCHEDULE_TARGETS,
             &[],
@@ -525,21 +405,209 @@ impl Experiment {
     }
 }
 
+/// Phase-transition heartbeat: the scanner's per-probe heartbeat only
+/// covers the shard runs, so the orchestrator announces the other phases.
+fn announce(env: &ObsEnv, name: &str) {
+    if env.progress_every.is_some() {
+        eprintln!("[bcd] phase {name}");
+    }
+}
+
+/// One measurement pass over a built world: which probes it schedules and
+/// how its scanner behaves. Plain data — method A and the inbound CRP scan
+/// ([`crate::crp`]) are two values of it, and [`run_pass`] runs either.
+pub(crate) struct Pass<'a> {
+    /// Prefix of every phase the pass records (`""` for method A). Only
+    /// the unprefixed pass stamps the run's sim horizon.
+    pub phase_prefix: &'static str,
+    /// Source categories the schedule probes with (`None` = all five).
+    pub category_filter: Option<&'a [SourceCategory]>,
+    /// Experiment keyword of the pass's query names.
+    pub keyword: String,
+    /// RNG stream of the scanner's salt (packet identity, human noise).
+    pub noise_stream: u64,
+    /// RNG stream base of the per-shard engine noise.
+    pub shard_noise_stream: u64,
+    /// Whether the scanner tails the authoritative log — follow-up
+    /// batteries and §3.6.3 human noise — or only walks its schedule.
+    pub tails_log: bool,
+}
+
+/// What [`run_pass`] returns: the merged shard outcomes plus the schedule
+/// geometry the run's stable aggregate reports.
+pub(crate) struct PassOutcome {
+    pub merged: ShardOutcome,
+    /// Each shard's layout-class metric slice, in shard-id order.
+    pub per_shard: Vec<MetricsRegistry>,
+    pub census: ScheduleCensus,
+    /// The latest scheduled emission over all shards.
+    pub sched_end: SimTime,
+    /// Effective shard count (clamped to the occupied lanes).
+    pub shards: usize,
+}
+
+/// Run one measurement pass over an already-built world and target set:
+/// census, lane assignment, per-shard schedule construction, the shard
+/// runs and the deterministic merge, each recorded as a phase of
+/// `profile` under the pass's prefix. Deterministic contract: the merged
+/// outcome is byte-identical for any `cfg.shards` / `cfg.workers` /
+/// `cfg.schedule_mode`.
+pub(crate) fn run_pass(
+    pass: &Pass,
+    world: &Arc<World>,
+    targets: &Arc<TargetSet>,
+    cfg: &ExperimentConfig,
+    env: &ObsEnv,
+    profile: &mut RunProfile,
+) -> PassOutcome {
+    let phase = |name: &str| format!("{}{name}", pass.phase_prefix);
+
+    // §3.2 + §3.4 census: count every probe (per-target plan lengths, no
+    // RNG, no allocation) to fix the window extension, the lane occupancy
+    // and the lane → shard map before any schedule memory exists.
+    // Streaming and global constructors consume the same census, so they
+    // agree on the geometry by construction.
+    announce(env, &phase("schedule-census"));
+    let t0 = Instant::now();
+    let sched_salt = stream_seed(cfg.world.seed, SCHEDULE_SALT_STREAM);
+    let filter = pass.category_filter;
+    let census = schedule::census(
+        targets,
+        world.topo.routes(),
+        &world.v6_hitlist,
+        filter,
+        schedule::lane_count(cfg.rate),
+        sched_salt,
+        cfg.target_sample,
+    );
+    let layout = LaneLayout::new(
+        cfg.rate,
+        cfg.window,
+        census.total,
+        sched_salt,
+        cfg.target_sample,
+    );
+    let (lane_shard, shards) = shard::assign_lanes(&census.lane_counts, cfg.shards.max(1));
+    profile.record(&phase("schedule-census"), t0.elapsed());
+
+    // §3.4: per-shard streaming schedule construction. Each shard derives
+    // only its own lanes' probes (plans and phases are hashes of the
+    // canonical target bytes) and smooths them under the lanes' own rate
+    // quotas — the global query vec is never materialized.
+    // `BCD_SCHEDULE=global` swaps in the legacy-shaped oracle, which *does*
+    // materialize it, then partitions along the same lane map; the two are
+    // byte-equal (tests/schedule_stream.rs).
+    announce(env, &phase("schedule-build"));
+    let n_workers = if cfg.workers == 0 {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    } else {
+        cfg.workers
+    }
+    .clamp(1, shards);
+    let t0 = Instant::now();
+    let parts: Vec<Schedule> = match cfg.schedule_mode {
+        ScheduleMode::Streaming => {
+            let build = |sid: usize| {
+                Schedule::build_lanes(
+                    targets,
+                    world.topo.routes(),
+                    &world.v6_hitlist,
+                    filter,
+                    &shard::lanes_of_shard(&lane_shard, sid),
+                    &census,
+                    &layout,
+                )
+            };
+            run_pool(n_workers, shards, build)
+        }
+        ScheduleMode::Global => {
+            let global = Schedule::build_global(
+                targets,
+                world.topo.routes(),
+                &world.v6_hitlist,
+                filter,
+                &census,
+                &layout,
+            );
+            global.partition_by_lane(targets, &lane_shard, shards)
+        }
+    };
+    debug_assert_eq!(
+        parts.iter().map(|p| p.len() as u64).sum::<u64>(),
+        census.total
+    );
+    let sched_end = parts.iter().map(|p| p.end).max().unwrap_or(SimTime::ZERO);
+    profile.record(&phase("schedule-build"), t0.elapsed());
+
+    // Run the scan plus drain time (outages push the real end out, the
+    // paper's "longer than the four weeks we had planned"). All shards
+    // simulate the same horizon — the *global* schedule end, which is the
+    // max over the per-shard ends.
+    let outage_total = cfg
+        .outages
+        .iter()
+        .fold(SimDuration::ZERO, |acc, (_, len)| acc + *len);
+    let run_until = sched_end + outage_total + cfg.drain;
+
+    // Shards run on a work-stealing pool: each worker claims the next
+    // unstarted shard id from a shared counter, spawns its own runtime
+    // (fresh nodes + logs) over the shared topology, and parks the outcome
+    // in the shard's slot. Imbalanced destination-AS partitions therefore
+    // pack onto whatever cores exist instead of pinning one thread per
+    // shard. Claim order is scheduling-dependent, but each shard's
+    // simulation is self-contained and the merge below walks slots in
+    // shard-id order — output bytes depend only on `shards`.
+    announce(env, &phase("shard-run"));
+    let parts: Vec<Mutex<Option<Schedule>>> =
+        parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+    let outcomes: Vec<ShardOutcome> = run_pool(n_workers, shards, |sid| {
+        let part = parts[sid]
+            .lock()
+            .unwrap()
+            .take()
+            .expect("shard partition claimed twice");
+        run_shard(pass, world, cfg, sid, part, targets, run_until, env)
+    });
+    for (sid, o) in outcomes.iter().enumerate() {
+        profile.record_shard_phase(&phase("shard-spawn"), sid, o.spawn_wall);
+        if pass.phase_prefix.is_empty() {
+            profile.record_shard(&phase("shard-run"), sid, o.wall, run_until);
+        } else {
+            profile.record_shard_phase(&phase("shard-run"), sid, o.wall);
+        }
+        profile.record_shard_phase(&phase("shard-extract"), sid, o.extract_wall);
+    }
+    let per_shard = outcomes.iter().map(|o| o.metrics.clone()).collect();
+    announce(env, &phase("merge"));
+    let t0 = Instant::now();
+    let merged = shard::merge_outcomes(outcomes);
+    profile.record(&phase("merge"), t0.elapsed());
+    PassOutcome {
+        merged,
+        per_shard,
+        census,
+        sched_end,
+        shards,
+    }
+}
+
 /// Spawn a fresh runtime over the shared world, run one shard's slice of
-/// the schedule to completion, and collect its `Send`-able outcome.
+/// the pass's schedule to completion, and collect its `Send`-able outcome.
 /// §3.3/§3.5: codec + scanner node at the reserved vantage (the codec is
 /// rebuilt per shard; apex and keyword are seed-determined, so every shard
 /// encodes identically).
 #[allow(clippy::too_many_arguments)]
 fn run_shard(
+    pass: &Pass,
     world: &Arc<World>,
     cfg: &ExperimentConfig,
     shard_id: usize,
     schedule: Schedule,
     targets: &Arc<TargetSet>,
     run_until: SimTime,
-    progress: Option<u64>,
-    trace_cfg: Option<&TraceConfig>,
+    env: &ObsEnv,
 ) -> ShardOutcome {
     let wall_start = Instant::now();
     // Lazy spawn: this shard's schedule names every destination AS it will
@@ -550,15 +618,12 @@ fn run_shard(
         .map(|i| targets.get(schedule.target_index(i) as usize).asn)
         .collect();
     let mut wrt: WorldRuntime = world.spawn_for(Some(&owned));
-    let codec = QnameCodec::new(&world.auth.apex, &cfg.keyword);
-    let human_noise = if cfg.world.human_lookup_fraction > 0.0 {
-        Some(HumanNoise {
+    let codec = QnameCodec::new(&world.auth.apex, &pass.keyword);
+    let human_noise =
+        (pass.tails_log && cfg.world.human_lookup_fraction > 0.0).then(|| HumanNoise {
             probability: cfg.world.human_lookup_fraction,
             delay: SimDuration::from_secs(cfg.world.human_lookup_delay_secs),
-        })
-    } else {
-        None
-    };
+        });
     let scanner_cfg = ScannerConfig {
         v4: world.scanner.v4,
         v6: world.scanner.v6,
@@ -566,16 +631,18 @@ fn run_shard(
         schedule,
         targets: targets.clone(),
         topo: world.topo.clone(),
-        poll_interval: cfg.poll_interval,
+        poll_interval: pass.tails_log.then_some(cfg.poll_interval),
         log: wrt.log.clone(),
         followups_per_family: cfg.followups_per_family,
         lab_v4: world.auth.lab_v4,
         lab_v6: world.auth.lab_v6,
         human_noise,
-        noise_salt: stream_seed(cfg.world.seed, NOISE_SALT_STREAM),
+        noise_salt: stream_seed(cfg.world.seed, pass.noise_stream),
         opt_outs: cfg.opt_outs.clone(),
         outages: cfg.outages.clone(),
-        progress: progress.map(|every| (every, shard_id)),
+        progress: env
+            .progress_every
+            .map(|every| (every, shard_id, format!("{}shard-run", pass.phase_prefix))),
     };
     // The scanner is a runtime-local host: it rides on top of the shared
     // topology (same host id and RNG stream in every shard) without
@@ -593,11 +660,11 @@ fn run_shard(
     // per-target behaviour shard-invariant.
     wrt.net.reseed_noise(stream_seed(
         cfg.world.seed,
-        SHARD_NOISE_STREAM ^ shard_id as u64,
+        pass.shard_noise_stream ^ shard_id as u64,
     ));
     // Arm the causal flight recorder after spawn so warmup resolver traffic
     // (which repeats in every shard) can never be sampled into it.
-    if let Some(t) = trace_cfg {
+    if let Some(t) = &env.trace {
         wrt.net.arm_flight_sampled(t.capacity, t.sample.clone());
     }
     let spawn_wall = wall_start.elapsed();

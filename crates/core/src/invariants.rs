@@ -18,7 +18,9 @@
 //!     so faults must never flip it.
 //!   * `conservation` — engine accounting balances: every packet handed to
 //!     the network is delivered, dropped for exactly one [`DropReason`],
-//!     or still in flight when the horizon ends.
+//!     or still in flight when the horizon ends. [`InvariantChecker::check_crp`]
+//!     applies the same balance to the inbound CRP pass
+//!     (`crp-conservation`).
 //! * **Baseline-relative** ([`InvariantChecker::check_against`]) — compare
 //!   a faulted run to the clean run with the same world seed:
 //!   * `reachability-monotone-addrs` / `reachability-monotone-asns` —
@@ -39,6 +41,7 @@
 use crate::analysis::openclosed::OpenClosedReport;
 use crate::analysis::reachability::Reachability;
 use crate::experiment::ExperimentData;
+use bcd_netsim::NetCounters;
 use std::fmt;
 
 /// One failed invariant.
@@ -102,7 +105,27 @@ impl InvariantChecker {
         let mut report = InvariantReport::default();
         let reach = Reachability::compute(&data.input());
         Self::check_soundness(data, &reach, &mut report);
-        Self::check_conservation(data, &mut report);
+        Self::check_conservation(
+            "conservation",
+            &data.counters,
+            data.pending_deliveries,
+            data.budget_exhausted,
+            &mut report,
+        );
+        report
+    }
+
+    /// Intrinsic invariants of the inbound CRP pass: `crp-conservation`,
+    /// the same packet balance as `conservation` over the CRP engines.
+    pub fn check_crp(b: &crate::crp::CrpData) -> InvariantReport {
+        let mut report = InvariantReport::default();
+        Self::check_conservation(
+            "crp-conservation",
+            &b.counters,
+            b.pending_deliveries,
+            b.budget_exhausted,
+            &mut report,
+        );
         report
     }
 
@@ -225,32 +248,36 @@ impl InvariantChecker {
         }
     }
 
-    fn check_conservation(data: &ExperimentData, report: &mut InvariantReport) {
-        report.checked.push("conservation");
-        let c = &data.counters;
+    fn check_conservation(
+        invariant: &'static str,
+        c: &NetCounters,
+        pending_deliveries: u64,
+        budget_exhausted: bool,
+        report: &mut InvariantReport,
+    ) {
+        report.checked.push(invariant);
         // Forged responses from the spoofed-response adversary enter the
         // network without a `sent` increment; they are accounted on the
         // left so their deliveries balance.
         let sent = c.sent + c.duplicated + c.injected;
-        let accounted = c.delivered + c.total_drops() + data.pending_deliveries;
+        let accounted = c.delivered + c.total_drops() + pending_deliveries;
         // On budget exhaustion the engine truncates the *whole* queue —
         // timers included — so drops may over-count packets; the balance
         // then only bounds from above.
-        let ok = if data.budget_exhausted {
+        let ok = if budget_exhausted {
             sent <= accounted
         } else {
             sent == accounted
         };
         if !ok {
             report.violations.push(Violation {
-                invariant: "conservation",
+                invariant,
                 detail: format!(
                     "sent+duplicated+injected = {sent} but delivered+drops+in-flight = \
-                     {accounted} (delivered={} drops={} in-flight={} budget_exhausted={})",
+                     {accounted} (delivered={} drops={} in-flight={pending_deliveries} \
+                     budget_exhausted={budget_exhausted})",
                     c.delivered,
                     c.total_drops(),
-                    data.pending_deliveries,
-                    data.budget_exhausted
                 ),
             });
         }

@@ -27,7 +27,11 @@
 //!   OS/software characterization experiments,
 //! * [`shard`] — AS-sharded parallel survey execution with a deterministic
 //!   merge (analyses and reports are byte-identical for 1 and N shards),
-//! * [`experiment`] — end-to-end orchestration: world → scan → analyses,
+//! * [`experiment`] — end-to-end orchestration: world → scan → analyses;
+//!   every measurement pass runs through one pipeline,
+//! * [`crp`] — the second, inbound measurement method (Closed Resolver
+//!   Project style) as a pass over the same world, cross-validated AS by
+//!   AS against the paper's method,
 //! * [`report`] — plain-text renderings of every table and figure.
 
 pub mod analysis;
@@ -51,7 +55,7 @@ pub mod targets;
 
 pub use analysis::agreement::AgreementMatrix;
 pub use chaos::{chaos_config, chaos_seed, entries_digest, ChaosRun, SweepOutcome};
-pub use crp::{run_crp, run_dual, CrpData, DualRun, CRP_CATEGORIES};
+pub use crp::{run_dual, CrpData, DualRun, CRP_CATEGORIES};
 pub use experiment::{Experiment, ExperimentConfig, ExperimentData};
 pub use invariants::{InvariantChecker, InvariantReport, Violation};
 pub use observe::{dns_totals, shard_registry, stable_aggregate, DnsTotals};

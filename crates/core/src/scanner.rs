@@ -15,6 +15,10 @@
 //!   probes get a delayed direct lookup of the same query name from an
 //!   address inside the target AS — the curious-analyst queries whose long
 //!   lifetime the analysis must filter out.
+//!
+//! Without a poll interval the scanner is a plain schedule walker: no log
+//! tail, no follow-ups, no human noise. That is the inbound CRP pass
+//! ([`crate::crp`]), whose verdict is read from the log after the run.
 
 use crate::hash::{fnv1a, fnv1a_addr, FNV_OFFSET};
 use crate::qname::{Decoded, QnameCodec, SuffixKind};
@@ -72,8 +76,9 @@ pub struct ScannerConfig {
     /// trie (`topo.routes().origin`), the same lookup extraction used, so
     /// no full-population `HashMap<IpAddr, u32>` is ever built.
     pub topo: Arc<Topology>,
-    /// Log-tail poll interval ("real-time" monitoring granularity).
-    pub poll_interval: SimDuration,
+    /// Log-tail poll interval ("real-time" monitoring granularity);
+    /// `None` = no log tail and therefore no follow-up batteries.
+    pub poll_interval: Option<SimDuration>,
     pub log: SharedLog,
     /// Follow-up queries per family (the paper's 10).
     pub followups_per_family: usize,
@@ -95,9 +100,9 @@ pub struct ScannerConfig {
     /// still issued — "albeit behind schedule".
     pub outages: Vec<(SimTime, SimDuration)>,
     /// Opt-in progress heartbeat (`BCD_PROGRESS=N`): `(every N probes,
-    /// shard id)`. Emits one stderr line per interval; `None` (the
-    /// default) costs a single untaken branch per probe.
-    pub progress: Option<(u64, usize)>,
+    /// shard id, phase name)`. Emits one stderr line per interval; `None`
+    /// (the default) costs a single untaken branch per probe.
+    pub progress: Option<(u64, usize, String)>,
 }
 
 /// Counters for tests and reports.
@@ -244,8 +249,8 @@ impl Scanner {
                 .codec
                 .encode(now, q.source, q.target, asn, SuffixKind::Main);
             self.stats.spoofed_sent += 1;
-            if let Some((every, sid)) = self.cfg.progress {
-                if self.stats.spoofed_sent.is_multiple_of(every) {
+            if let Some((every, sid, phase)) = &self.cfg.progress {
+                if self.stats.spoofed_sent.is_multiple_of(*every) {
                     // Wall-clock throughput + ETA (display only; never
                     // feeds back into simulation state).
                     let total = self.cfg.schedule.len() as u64;
@@ -261,7 +266,7 @@ impl Scanner {
                         "?".to_string()
                     };
                     eprintln!(
-                        "[bcd] shard {sid} [shard-run]: {}/{total} probes, {rate:.0} q/s, eta {eta}, sim t={now}",
+                        "[bcd] shard {sid} [{phase}]: {}/{total} probes, {rate:.0} q/s, eta {eta}, sim t={now}",
                         self.stats.spoofed_sent,
                     );
                 }
@@ -365,7 +370,9 @@ impl Scanner {
         for (src, dst) in triggers {
             self.fire_followups(ctx, src, dst);
         }
-        ctx.set_timer(self.cfg.poll_interval, TOK_POLL);
+        if let Some(every) = self.cfg.poll_interval {
+            ctx.set_timer(every, TOK_POLL);
+        }
     }
 
     fn drain_human_queue(&mut self, ctx: &mut NodeCtx<'_>) {
@@ -412,7 +419,9 @@ impl Node for Scanner {
         if let Some(at) = self.cfg.schedule.first_at() {
             ctx.set_timer(at - SimTime::ZERO, TOK_WALK);
         }
-        ctx.set_timer(self.cfg.poll_interval, TOK_POLL);
+        if let Some(every) = self.cfg.poll_interval {
+            ctx.set_timer(every, TOK_POLL);
+        }
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {

@@ -27,6 +27,7 @@
 //! `S = N` (the equivalence suite in `tests/shard_equivalence.rs` locks
 //! this in).
 
+use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::observe::DnsTotals;
 use crate::scanner::ScannerStats;
 use bcd_dns::QueryLogEntry;
@@ -60,11 +61,8 @@ pub fn workers_from_env() -> Option<usize> {
 /// choices for `shards == 1` (everything maps to shard 0).
 pub fn shard_of_asn(asn: u32, shards: usize) -> usize {
     debug_assert!(shards >= 1);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in asn.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let mut h = FNV_OFFSET;
+    fnv1a(&mut h, &asn.to_le_bytes());
     (h % shards as u64) as usize
 }
 

@@ -60,6 +60,8 @@ fn spoof_ladder_never_flips_closed_open() {
         // books (`sent + duplicated + injected`).
         let cons_a = InvariantChecker::check(&dual.a);
         assert!(cons_a.is_ok(), "spoof={intensity}: {}", cons_a.render());
+        let cons_b = InvariantChecker::check_crp(&dual.b);
+        assert!(cons_b.is_ok(), "spoof={intensity}: {}", cons_b.render());
     }
     assert!(
         injected_total > 0,

@@ -16,15 +16,18 @@
 //!   is sorted and duplicate-free, surfaced as the stable
 //!   `targets.excluded_unsorted` counter (always 0 for a well-formed
 //!   world),
+//! * **one pipeline** — the CRP pass records its `crp.*` phases into the
+//!   dual profile without moving method A's deterministic run report,
 //! * **survey tier** (`--ignored`) — the dual-method run over the full
 //!   `internet_scale` world stays inside the 8 GiB CI budget and still
-//!   agrees exactly. The CI `agreement-smoke` job runs it.
+//!   agrees exactly. The CI `agreement-smoke` job runs it;
+//!   `BCD_SCALE_PROFILE=path.jsonl` exports the per-phase breakdown.
 
 use bcd_core::invariants::InvariantChecker;
 use bcd_core::schedule::ScheduleMode;
-use bcd_core::{report, run_dual, ExperimentConfig};
+use bcd_core::{report, run_dual, DualRun, ExperimentConfig};
 use bcd_netsim::SimDuration;
-use bcd_obs::report::names;
+use bcd_obs::report::{names, render_run_report_deterministic};
 use bcd_obs::ObsEnv;
 use bcd_worldgen::WorldConfig;
 use std::path::PathBuf;
@@ -87,6 +90,8 @@ fn clean_dual_run_agrees_with_ground_truth() {
         }
         let inv = InvariantChecker::check_agreement(m, true);
         assert!(inv.is_ok(), "seed={seed}: {}", inv.render());
+        let cons = InvariantChecker::check_crp(&dual.b);
+        assert!(cons.is_ok(), "seed={seed}: {}", cons.render());
         assert!(
             m.is_exact(),
             "seed={seed}: methods diverge from ground truth: a_only={:?} b_only={:?} \
@@ -136,18 +141,22 @@ fn agreement_matrix_is_layout_invariant_and_matches_golden() {
         (8, ScheduleMode::Streaming),
         (4, ScheduleMode::Global),
     ];
-    let mut baseline: Option<(String, bcd_core::AgreementMatrix, u64, usize)> = None;
+    let mut baseline: Option<(String, bcd_core::AgreementMatrix, u64, usize, String)> = None;
     for (shards, mode) in layouts {
         let mut cfg = ExperimentConfig::tiny(2019);
         cfg.shards = shards;
         cfg.schedule_mode = mode;
         let dual = run_dual(cfg, &ObsEnv::disabled());
+        assert_crp_phases(&dual);
         let rendered = report::render_agreement(&dual.matrix);
         let probes = dual.b.stats.probes_sent;
         let log_len = dual.b.entries.len();
+        // The CRP pass records into method A's profile but must not move
+        // its deterministic report (sim horizon, stable counters).
+        let run_report = render_run_report_deterministic(&dual.a.obs);
         match &baseline {
-            None => baseline = Some((rendered, dual.matrix, probes, log_len)),
-            Some((r0, m0, p0, l0)) => {
+            None => baseline = Some((rendered, dual.matrix, probes, log_len, run_report)),
+            Some((r0, m0, p0, l0, rr0)) => {
                 assert_eq!(
                     r0, &rendered,
                     "S={shards} {mode:?}: agreement rendering depends on layout"
@@ -155,10 +164,43 @@ fn agreement_matrix_is_layout_invariant_and_matches_golden() {
                 assert_eq!(m0, &dual.matrix, "S={shards} {mode:?}: matrix differs");
                 assert_eq!(*p0, probes, "S={shards} {mode:?}: CRP probe count differs");
                 assert_eq!(*l0, log_len, "S={shards} {mode:?}: CRP log length differs");
+                assert_eq!(
+                    rr0, &run_report,
+                    "S={shards} {mode:?}: method A's deterministic run report differs"
+                );
             }
         }
     }
     check("agreement", &baseline.unwrap().0);
+}
+
+/// The CRP pass runs through the shared pipeline, so its sub-phases land
+/// in the dual profile under the `crp.` prefix — one `crp.shard-run` per
+/// CRP shard — alongside the `crp-run` and `agreement` wrappers.
+fn assert_crp_phases(dual: &DualRun) {
+    let phases = &dual.a.obs.profile.phases;
+    let top = |name: &str| {
+        phases
+            .iter()
+            .filter(|p| p.shard.is_none() && p.name == name)
+            .count()
+    };
+    for name in [
+        "crp.schedule-census",
+        "crp.schedule-build",
+        "crp.merge",
+        "crp-run",
+        "agreement",
+    ] {
+        assert_eq!(top(name), 1, "phase {name} missing or repeated");
+    }
+    let runs: Vec<usize> = phases
+        .iter()
+        .filter(|p| p.name == "crp.shard-run")
+        .map(|p| p.shard.expect("crp.shard-run is per-shard"))
+        .collect();
+    assert_eq!(runs, (0..dual.b.shards).collect::<Vec<_>>());
+    assert!(dual.b.shards >= 1 && dual.b.shards <= dual.a.cfg.shards);
 }
 
 /// Peak resident set size of this process in GiB (`VmHWM` from
@@ -189,6 +231,7 @@ fn dual_method_survey_within_budget() {
     let t0 = std::time::Instant::now();
     let dual = run_dual(cfg, &ObsEnv::from_env());
     let run_secs = t0.elapsed().as_secs_f64();
+    assert_crp_phases(&dual);
 
     let m = &dual.matrix;
     assert!(
@@ -205,6 +248,25 @@ fn dual_method_survey_within_budget() {
     assert!(m.is_exact(), "survey-scale divergence from ground truth");
     assert!(!dual.a.budget_exhausted && !dual.b.budget_exhausted);
 
+    // Per-phase wall/RSS breakdown, both passes (the CRP pass under its
+    // `crp.` prefix), as the survey-smoke job exports it.
+    for p in &dual.a.obs.profile.phases {
+        eprintln!(
+            "agreement-profile: {:<20} {:>8.2}s",
+            match p.shard {
+                Some(sid) => format!("{}[{sid}]", p.name),
+                None => p.name.clone(),
+            },
+            p.wall.as_secs_f64()
+        );
+    }
+    if let Ok(path) = std::env::var("BCD_SCALE_PROFILE") {
+        dual.a
+            .obs
+            .write_jsonl(std::path::Path::new(&path))
+            .expect("write BCD_SCALE_PROFILE export");
+        eprintln!("agreement-profile: exported to {path}");
+    }
     if let Ok(path) = std::env::var("BCD_AGREEMENT_REPORT") {
         std::fs::write(&path, report::render_agreement(m)).expect("write BCD_AGREEMENT_REPORT");
         eprintln!("agreement-report: exported to {path}");

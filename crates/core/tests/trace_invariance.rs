@@ -17,7 +17,7 @@
 //! ```
 
 use bcd_core::chaos::{self, violation_artifact};
-use bcd_core::{Experiment, ExperimentConfig, ExperimentData};
+use bcd_core::{run_dual, Experiment, ExperimentConfig, ExperimentData};
 use bcd_netsim::{SchedKind, TraceSample};
 use bcd_obs::{chrome_trace_json, ObsEnv, RunProfile, TraceConfig};
 use std::path::PathBuf;
@@ -136,6 +136,35 @@ fn chaos_violation_artifact_is_shard_invariant() {
         one,
         mk(4),
         "violation artifact differs between 1 and 4 shards"
+    );
+}
+
+#[test]
+fn crp_flight_recorder_is_shard_and_scheduler_invariant() {
+    // The CRP pass arms the recorder through the same pipeline as method
+    // A, so its merged recorder carries the same layout-free contract.
+    let crp_dump = |shards: usize, sched: SchedKind| {
+        let mut cfg = ExperimentConfig::tiny(2019);
+        cfg.shards = shards;
+        cfg.world.sched = sched;
+        let dual = run_dual(cfg, &ObsEnv::with_trace(TraceConfig::default()));
+        let flight = dual.b.flight.expect("tracing was armed for the CRP pass");
+        assert!(
+            !flight.is_empty(),
+            "{shards} shards, {sched:?}: no CRP spans"
+        );
+        flight.dump()
+    };
+    let base = crp_dump(1, SchedKind::Wheel);
+    assert_eq!(
+        base,
+        crp_dump(4, SchedKind::Wheel),
+        "CRP dump: 1 vs 4 shards"
+    );
+    assert_eq!(
+        base,
+        crp_dump(1, SchedKind::Heap),
+        "CRP dump: wheel vs heap"
     );
 }
 
