@@ -463,7 +463,7 @@ pub(crate) fn run_pass(
     let phase = |name: &str| format!("{}{name}", pass.phase_prefix);
 
     // §3.2 + §3.4 census: count every probe (per-target plan lengths, no
-    // RNG, no allocation) to fix the window extension, the lane occupancy
+    // RNG, no source draws) to fix the window extension, the lane occupancy
     // and the lane → shard map before any schedule memory exists.
     // Streaming and global constructors consume the same census, so they
     // agree on the geometry by construction.

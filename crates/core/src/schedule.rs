@@ -22,8 +22,9 @@
 //!   determinism: the runtime maps lanes onto however many shards
 //!   `BCD_SHARDS` asks for, and the schedule bytes never change.
 //! * **Census prepass.** A cheap counting pass
-//!   ([`SourcePlan::planned_len`], no RNG, no allocation) sizes the
-//!   window extension and every lane before any schedule memory exists.
+//!   ([`SourcePlan::planned_len`]: no RNG, no source draws, only each
+//!   target's short-lived other-prefix list) sizes the window extension
+//!   and every lane before any schedule memory exists.
 //! * **Compact SoA rows.** A scheduled probe is a nanosecond timestamp,
 //!   a `u32` flat target index, a `u128` source-address payload and a
 //!   category tag (~29 B/row) instead of the old 48-byte AoS struct with
@@ -41,7 +42,8 @@
 use crate::hash::addr_hash;
 use crate::sources::{SourceCategory, SourcePlan};
 use crate::targets::TargetSet;
-use bcd_netsim::{Prefix, PrefixTable, SimDuration, SimTime};
+use bcd_netsim::{PrefixTable, SimDuration, SimTime};
+use bcd_worldgen::Hitlist;
 use std::collections::BTreeMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -113,13 +115,14 @@ impl ScheduleCensus {
 }
 
 /// Count every probe without building one: per-target plan lengths via
-/// [`SourcePlan::planned_len`] (no RNG, no source draws), bucketed by
-/// lane. Both constructors and the window-extension rule consume this, so
-/// streaming and global agree on the extended window by construction.
+/// [`SourcePlan::planned_len`] (no RNG, no source draws; it does allocate
+/// the target's capped other-prefix list), bucketed by lane. Both
+/// constructors and the window-extension rule consume this, so streaming
+/// and global agree on the extended window by construction.
 pub fn census(
     targets: &TargetSet,
     routes: &PrefixTable,
-    hitlist: &[Prefix],
+    hitlist: &Hitlist,
     filter: Option<&[SourceCategory]>,
     lanes: usize,
     salt: u64,
@@ -150,7 +153,7 @@ pub fn census(
 fn filtered_len(
     target: IpAddr,
     routes: &PrefixTable,
-    hitlist: &[Prefix],
+    hitlist: &Hitlist,
     filter: Option<&[SourceCategory]>,
 ) -> usize {
     let full = SourcePlan::planned_len(target, routes, hitlist);
@@ -358,7 +361,7 @@ impl Schedule {
     pub fn build_lanes(
         targets: &TargetSet,
         routes: &PrefixTable,
-        hitlist: &[Prefix],
+        hitlist: &Hitlist,
         filter: Option<&[SourceCategory]>,
         owned_lanes: &[usize],
         census: &ScheduleCensus,
@@ -415,7 +418,7 @@ impl Schedule {
     pub fn build_global(
         targets: &TargetSet,
         routes: &PrefixTable,
-        hitlist: &[Prefix],
+        hitlist: &Hitlist,
         filter: Option<&[SourceCategory]>,
         census: &ScheduleCensus,
         layout: &LaneLayout,
@@ -524,7 +527,7 @@ fn derive_target(
     tidx: u32,
     lane: usize,
     routes: &PrefixTable,
-    hitlist: &[Prefix],
+    hitlist: &Hitlist,
     filter: Option<&[SourceCategory]>,
     layout: &LaneLayout,
     mut emit: impl FnMut(Raw),
@@ -625,7 +628,15 @@ mod tests {
         salt: u64,
     ) -> (Schedule, ScheduleCensus, LaneLayout) {
         let lanes = lane_count(rate);
-        let census = census(targets, routes, &[], None, lanes, salt, None);
+        let census = census(
+            targets,
+            routes,
+            &Hitlist::default(),
+            None,
+            lanes,
+            salt,
+            None,
+        );
         let layout = LaneLayout::new(
             rate,
             SimDuration::from_secs(window_secs),
@@ -634,7 +645,15 @@ mod tests {
             None,
         );
         let owned: Vec<usize> = (0..lanes).collect();
-        let s = Schedule::build_lanes(targets, routes, &[], None, &owned, &census, &layout);
+        let s = Schedule::build_lanes(
+            targets,
+            routes,
+            &Hitlist::default(),
+            None,
+            &owned,
+            &census,
+            &layout,
+        );
         (s, census, layout)
     }
 
@@ -729,12 +748,36 @@ mod tests {
         let (targets, routes) = world(16, 4);
         let salt = 11;
         let lanes = lane_count(700);
-        let full = census(&targets, &routes, &[], None, lanes, salt, None);
-        let sampled = census(&targets, &routes, &[], None, lanes, salt, Some(4));
+        let full = census(
+            &targets,
+            &routes,
+            &Hitlist::default(),
+            None,
+            lanes,
+            salt,
+            None,
+        );
+        let sampled = census(
+            &targets,
+            &routes,
+            &Hitlist::default(),
+            None,
+            lanes,
+            salt,
+            Some(4),
+        );
         assert!(sampled.sampled_targets < full.sampled_targets);
         assert!(sampled.sampled_targets > 0);
         // The kept set is a strict per-target predicate: re-census agrees.
-        let again = census(&targets, &routes, &[], None, lanes, salt, Some(4));
+        let again = census(
+            &targets,
+            &routes,
+            &Hitlist::default(),
+            None,
+            lanes,
+            salt,
+            Some(4),
+        );
         assert_eq!(sampled.total, again.total);
     }
 
@@ -743,14 +786,22 @@ mod tests {
         let (targets, routes) = world(3, 2);
         let filter = [SourceCategory::Loopback, SourceCategory::DstAsSrc];
         let lanes = lane_count(700);
-        let census = census(&targets, &routes, &[], Some(&filter), lanes, 9, None);
+        let census = census(
+            &targets,
+            &routes,
+            &Hitlist::default(),
+            Some(&filter),
+            lanes,
+            9,
+            None,
+        );
         assert_eq!(census.total, targets.len() as u64 * 2);
         let layout = LaneLayout::new(700, SimDuration::from_secs(100), census.total, 9, None);
         let owned: Vec<usize> = (0..lanes).collect();
         let s = Schedule::build_lanes(
             &targets,
             &routes,
-            &[],
+            &Hitlist::default(),
             Some(&filter),
             &owned,
             &census,

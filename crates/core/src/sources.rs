@@ -14,15 +14,21 @@
 //! * **loopback** — `127.0.0.1` or `::1`.
 
 use bcd_netsim::{Packet, Prefix, PrefixTable};
+use bcd_worldgen::Hitlist;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 /// Maximum number of other-prefix sources per target (the paper's 97 —
 /// chosen so the total came to "an even 100" before a fifth category was
 /// added, footnote 2).
 pub const MAX_OTHER_PREFIX: usize = 97;
+
+/// The private-category source for IPv4 targets (RFC 1918).
+const PRIVATE_V4: Ipv4Addr = Ipv4Addr::new(192, 168, 0, 10);
+/// The private-category source for IPv6 targets (unique-local `fc00::10`).
+const PRIVATE_V6: Ipv6Addr = Ipv6Addr::new(0xfc00, 0, 0, 0, 0, 0, 0, 0x10);
 
 /// The five §3.2 categories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -70,7 +76,7 @@ impl SourcePlan {
     /// Build the plan for `target` using the announced routes of its AS.
     /// Equivalent to [`SourcePlan::build_with_hitlist`] with no hitlist.
     pub fn build(target: IpAddr, routes: &PrefixTable, rng: &mut ChaCha8Rng) -> SourcePlan {
-        SourcePlan::build_with_hitlist(target, routes, &[], rng)
+        SourcePlan::build_with_hitlist(target, routes, &Hitlist::default(), rng)
     }
 
     /// Build the plan, preferring IPv6 /64s that appear in `hitlist` — the
@@ -81,7 +87,7 @@ impl SourcePlan {
     pub fn build_with_hitlist(
         target: IpAddr,
         routes: &PrefixTable,
-        hitlist: &[Prefix],
+        hitlist: &Hitlist,
         rng: &mut ChaCha8Rng,
     ) -> SourcePlan {
         let mut sources = Vec::with_capacity(101);
@@ -101,9 +107,9 @@ impl SourcePlan {
 
         // Private / unique-local.
         let private: IpAddr = if v6 {
-            "fc00::10".parse().unwrap()
+            PRIVATE_V6.into()
         } else {
-            "192.168.0.10".parse().unwrap()
+            PRIVATE_V4.into()
         };
         sources.push((SourceCategory::Private, private));
 
@@ -126,7 +132,7 @@ impl SourcePlan {
     pub fn build_deterministic(
         target: IpAddr,
         routes: &PrefixTable,
-        hitlist: &[Prefix],
+        hitlist: &Hitlist,
         salt: u64,
     ) -> SourcePlan {
         use rand::SeedableRng;
@@ -139,7 +145,7 @@ impl SourcePlan {
     /// plus the four per-target categories. The census prepass calls this
     /// for every target to size lanes and the window extension before any
     /// schedule memory is allocated.
-    pub fn planned_len(target: IpAddr, routes: &PrefixTable, hitlist: &[Prefix]) -> usize {
+    pub fn planned_len(target: IpAddr, routes: &PrefixTable, hitlist: &Hitlist) -> usize {
         other_prefixes(target, routes, hitlist).len() + 4
     }
 
@@ -159,7 +165,7 @@ impl SourcePlan {
 /// spread-capped at [`MAX_OTHER_PREFIX`]. Shared by the plan builder
 /// (which draws one source per prefix) and [`SourcePlan::planned_len`]
 /// (which only counts) so the two can never disagree.
-fn other_prefixes(target: IpAddr, routes: &PrefixTable, hitlist: &[Prefix]) -> Vec<Prefix> {
+fn other_prefixes(target: IpAddr, routes: &PrefixTable, hitlist: &Hitlist) -> Vec<Prefix> {
     let v6 = target.is_ipv6();
     let sub_len = if v6 { 64 } else { 24 };
     let own_subnet = Prefix::subprefix_of(target, sub_len);
@@ -171,18 +177,13 @@ fn other_prefixes(target: IpAddr, routes: &PrefixTable, hitlist: &[Prefix]) -> V
     // before any blind enumeration — "we gave preference to /64 prefixes
     // that contained IPv6 addresses from an IPv6 hit list" (§3.2).
     if v6 {
-        for h in hitlist {
-            if h.is_v6()
-                && h.len() == sub_len
-                && *h != own_subnet
-                && routes.origin(h.network()) == Some(asn)
-            {
-                other.push(*h);
-            }
-            if other.len() >= MAX_OTHER_PREFIX {
-                break;
-            }
-        }
+        other.extend(
+            hitlist
+                .of_asn(asn)
+                .iter()
+                .filter(|&&h| h != own_subnet)
+                .take(MAX_OTHER_PREFIX),
+        );
     }
     let preferred: std::collections::HashSet<Prefix> = other.iter().copied().collect();
     // Divide the rest of the AS's space into /24s or /64s.
@@ -396,10 +397,33 @@ mod tests {
             let target: IpAddr = target.parse().unwrap();
             let plan = SourcePlan::build(target, &routes, &mut rng());
             assert_eq!(
-                SourcePlan::planned_len(target, &routes, &[]),
+                SourcePlan::planned_len(target, &routes, &Hitlist::default()),
                 plan.len(),
                 "census length must equal built length for {target}"
             );
+        }
+
+        // IPv6 with a hitlist: AS 7's /48 holds AS 8's more-specific /56.
+        // The hitlists cover a few same-AS /64s, the target's own /64 plus
+        // more than 97 same-AS entries plus some of the /56, and the /56
+        // alone.
+        let mut routes = routes_with(&["2600:9::/48"], 7);
+        routes.announce("2600:9:0:100::/56".parse().unwrap(), Asn(8));
+        let hit = |ids: std::ops::Range<u16>| -> Vec<Prefix> {
+            ids.map(|i| Prefix::new(Ipv6Addr::new(0x2600, 9, 0, i, 0, 0, 0, 0).into(), 64))
+                .collect()
+        };
+        for ids in [3..8, 0..300, 0x100..0x140] {
+            let hitlist = Hitlist::new(hit(ids), &routes);
+            for target in ["2600:9:0:5::42", "2600:9:0:105::42"] {
+                let target: IpAddr = target.parse().unwrap();
+                let plan = SourcePlan::build_with_hitlist(target, &routes, &hitlist, &mut rng());
+                assert_eq!(
+                    SourcePlan::planned_len(target, &routes, &hitlist),
+                    plan.len(),
+                    "census length must equal built length for {target}"
+                );
+            }
         }
     }
 
@@ -410,12 +434,17 @@ mod tests {
         // subsets agree on the shared target.
         let routes = routes_with(&["16.0.0.0/14"], 9);
         let target: IpAddr = "16.0.1.5".parse().unwrap();
-        let a = SourcePlan::build_deterministic(target, &routes, &[], 42);
+        let a = SourcePlan::build_deterministic(target, &routes, &Hitlist::default(), 42);
         // Plan other targets "first" — no effect on the shared target.
-        let _ = SourcePlan::build_deterministic("16.0.2.9".parse().unwrap(), &routes, &[], 42);
-        let b = SourcePlan::build_deterministic(target, &routes, &[], 42);
+        let _ = SourcePlan::build_deterministic(
+            "16.0.2.9".parse().unwrap(),
+            &routes,
+            &Hitlist::default(),
+            42,
+        );
+        let b = SourcePlan::build_deterministic(target, &routes, &Hitlist::default(), 42);
         assert_eq!(a.sources, b.sources);
-        let c = SourcePlan::build_deterministic(target, &routes, &[], 43);
+        let c = SourcePlan::build_deterministic(target, &routes, &Hitlist::default(), 43);
         assert_ne!(a.sources, c.sources, "salt must matter");
     }
 

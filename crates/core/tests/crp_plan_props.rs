@@ -20,6 +20,7 @@ use bcd_core::shard;
 use bcd_core::targets::TargetSet;
 use bcd_core::LaneLayout;
 use bcd_netsim::{Asn, Prefix, PrefixTable, SimDuration};
+use bcd_worldgen::Hitlist;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::net::IpAddr;
@@ -56,10 +57,26 @@ fn crp_rows(
 ) -> HashMap<IpAddr, Vec<(u64, IpAddr, u8)>> {
     let filter = Some(&CRP_CATEGORIES[..]);
     let lanes = schedule::lane_count(rate);
-    let census = schedule::census(targets, routes, &[], filter, lanes, salt, None);
+    let census = schedule::census(
+        targets,
+        routes,
+        &Hitlist::default(),
+        filter,
+        lanes,
+        salt,
+        None,
+    );
     let layout = LaneLayout::new(rate, SimDuration::from_secs(30), census.total, salt, None);
     let all: Vec<usize> = (0..lanes).collect();
-    let s = Schedule::build_lanes(targets, routes, &[], filter, &all, &census, &layout);
+    let s = Schedule::build_lanes(
+        targets,
+        routes,
+        &Hitlist::default(),
+        filter,
+        &all,
+        &census,
+        &layout,
+    );
     let mut by_target: HashMap<IpAddr, Vec<(u64, IpAddr, u8)>> = HashMap::new();
     for q in s.iter_with(targets) {
         assert!(
@@ -122,10 +139,10 @@ proptest! {
         let (targets, routes) = population(n_asns, per_asn);
         let filter = Some(&CRP_CATEGORIES[..]);
         let lanes = schedule::lane_count(rate);
-        let census = schedule::census(&targets, &routes, &[], filter, lanes, salt, None);
+        let census = schedule::census(&targets, &routes, &Hitlist::default(), filter, lanes, salt, None);
         prop_assert!(census.total > 0, "population must schedule something");
         let layout = LaneLayout::new(rate, SimDuration::from_secs(60), census.total, salt, None);
-        let oracle = Schedule::build_global(&targets, &routes, &[], filter, &census, &layout);
+        let oracle = Schedule::build_global(&targets, &routes, &Hitlist::default(), filter, &census, &layout);
         prop_assert_eq!(oracle.len() as u64, census.total);
         let (lane_shard, eff) = shard::assign_lanes(&census.lane_counts, shards);
         let parts: Vec<Schedule> = (0..eff)
@@ -133,7 +150,7 @@ proptest! {
                 Schedule::build_lanes(
                     &targets,
                     &routes,
-                    &[],
+                    &Hitlist::default(),
                     filter,
                     &shard::lanes_of_shard(&lane_shard, sid),
                     &census,

@@ -5,12 +5,13 @@ use bcd_core::qname::{Decoded, QnameCodec, SuffixKind};
 use bcd_core::scanner::ScannerStats;
 use bcd_core::schedule::Schedule;
 use bcd_core::shard::canonical_sort;
-use bcd_core::sources::{classify_source, SourceCategory, SourcePlan};
+use bcd_core::sources::{classify_source, SourceCategory, SourcePlan, MAX_OTHER_PREFIX};
 use bcd_core::targets::TargetSet;
 use bcd_dns::{LogProto, QueryLogEntry};
 use bcd_netsim::{Asn, Prefix, PrefixTable, SimDuration, SimTime};
 use bcd_netsim::{DropReason, Merge, NetCounters};
 use bcd_osmodel::ports::{IANA_HI, IANA_LO, WINDOWS_POOL_SIZE};
+use bcd_worldgen::Hitlist;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -149,7 +150,7 @@ proptest! {
         candidates.dedup();
         let targets = TargetSet::from_candidates(&candidates, &routes);
         let lanes = bcd_core::schedule::lane_count(rate);
-        let census = bcd_core::schedule::census(&targets, &routes, &[], None, lanes, salt, None);
+        let census = bcd_core::schedule::census(&targets, &routes, &Hitlist::default(), None, lanes, salt, None);
         let layout = bcd_core::LaneLayout::new(
             rate,
             SimDuration::from_secs(window_secs),
@@ -158,7 +159,7 @@ proptest! {
             None,
         );
         let owned: Vec<usize> = (0..lanes).collect();
-        let s = Schedule::build_lanes(&targets, &routes, &[], None, &owned, &census, &layout);
+        let s = Schedule::build_lanes(&targets, &routes, &Hitlist::default(), None, &owned, &census, &layout);
         prop_assert_eq!(s.len() as u64, census.total);
         prop_assert!(s.peak_rate() <= rate);
         for i in 1..s.len() {
@@ -169,7 +170,7 @@ proptest! {
         let mut planned: Vec<(IpAddr, IpAddr)> = targets
             .iter()
             .flat_map(|t| {
-                SourcePlan::build_deterministic(t.addr, &routes, &[], salt)
+                SourcePlan::build_deterministic(t.addr, &routes, &Hitlist::default(), salt)
                     .sources
                     .into_iter()
                     .map(move |(_, s)| (t.addr, s))
@@ -223,7 +224,7 @@ proptest! {
         let plan = bcd_core::sources::SourcePlan::build_with_hitlist(
             target,
             &routes,
-            &[active],
+            &Hitlist::new(vec![active], &routes),
             &mut rng,
         );
         let in_active = plan
@@ -233,6 +234,127 @@ proptest! {
         prop_assert!(in_active, "hitlist /64 missing from the plan");
         // Still capped at 97 + 4 singleton categories.
         prop_assert!(plan.len() <= 101);
+    }
+}
+
+// ---- the AS-grouped hitlist against the linear scan (§3.2) ----
+
+/// The linear hitlist scan the planner ran before the hitlist was grouped
+/// by origin AS, kept verbatim as the reference: the hitlist-preferred
+/// head of `target`'s other-prefix list, read from the sorted,
+/// deduplicated hitlist.
+fn hitlist_head(target: IpAddr, routes: &PrefixTable, hitlist: &[Prefix]) -> Vec<Prefix> {
+    let v6 = target.is_ipv6();
+    let sub_len = if v6 { 64 } else { 24 };
+    let own_subnet = Prefix::subprefix_of(target, sub_len);
+    let Some(asn) = routes.origin(target) else {
+        return Vec::new();
+    };
+    let mut other: Vec<Prefix> = Vec::new();
+    if v6 {
+        for h in hitlist {
+            if h.is_v6()
+                && h.len() == sub_len
+                && *h != own_subnet
+                && routes.origin(h.network()) == Some(asn)
+            {
+                other.push(*h);
+            }
+            if other.len() >= MAX_OTHER_PREFIX {
+                break;
+            }
+        }
+    }
+    other
+}
+
+/// The `/len` around `2600:a:0:i::`.
+fn v6_net(a: u16, i: u16, len: u8) -> Prefix {
+    Prefix::new(Ipv6Addr::new(0x2600, a, 0, i, 0, 0, 0, 0).into(), len)
+}
+
+/// The /64 at index `i` of `2600:a::/48`.
+fn v6_64(a: u16, i: u16) -> Prefix {
+    v6_net(a, i, 64)
+}
+
+/// A random multi-AS table, a raw hitlist and a target. AS `a + 1`
+/// announces `2600:a::/48` and `16.a.0.0/22`; AS `n_as + 1` announces the
+/// more-specific `2600:0:0:100::/56` inside AS 1's /48. The hitlist mixes
+/// scattered /64s (some inside the /56), a dense run of more than 97 of AS
+/// 1's /64s, non-/64 and IPv4 entries, unrouted /64s and duplicates, in
+/// random order; half the time it also holds the target's own /64.
+fn hitlist_world(seed: u64, n_as: u16) -> (PrefixTable, Vec<Prefix>, IpAddr) {
+    use rand::seq::SliceRandom;
+    use rand::Rng;
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut routes = PrefixTable::new();
+    for a in 0..n_as {
+        routes.announce(v6_net(a, 0, 48), Asn(u32::from(a) + 1));
+        routes.announce(
+            Prefix::new(Ipv4Addr::new(16, a as u8, 0, 0).into(), 22),
+            Asn(u32::from(a) + 1),
+        );
+    }
+    routes.announce(v6_net(0, 0x100, 56), Asn(u32::from(n_as) + 1));
+
+    let mut raw: Vec<Prefix> = Vec::new();
+    for _ in 0..rng.gen_range(0..200) {
+        raw.push(v6_64(rng.gen_range(0..n_as), rng.gen_range(0..0x400)));
+    }
+    let dense = rng.gen_range(98..160);
+    raw.extend((0..dense).map(|i| v6_64(0, 0x200 + i)));
+    for _ in 0..rng.gen_range(0..20) {
+        let a = rng.gen_range(0..n_as);
+        raw.push(v6_net(a, rng.gen_range(0..0x400), 56));
+        raw.push(Prefix::new(
+            Ipv4Addr::new(16, a as u8, rng.gen_range(0..4), 0).into(),
+            24,
+        ));
+        raw.push(v6_64(0x7000 + a, rng.gen_range(0..0x400)));
+    }
+    let dups: Vec<Prefix> = raw.iter().take(10).copied().collect();
+    raw.extend(dups);
+
+    let a = rng.gen_range(0..n_as);
+    let target: IpAddr = if rng.gen_bool(0.25) {
+        Ipv4Addr::new(16, a as u8, rng.gen_range(0..4), 77).into()
+    } else {
+        let own = v6_64(a, rng.gen_range(0..0x400));
+        if rng.gen_bool(0.5) {
+            raw.push(own);
+        }
+        own.nth(0x42).unwrap()
+    };
+    raw.shuffle(&mut rng);
+    (routes, raw, target)
+}
+
+proptest! {
+    /// The AS-grouped hitlist yields exactly the linear scan's preferred
+    /// /64s, in order, at the head of every plan — so plans are unchanged
+    /// — and the census length still equals the built length.
+    #[test]
+    fn hitlist_index_matches_linear_scan(seed in any::<u64>(), n_as in 2u16..6, salt in any::<u64>()) {
+        let (routes, raw, target) = hitlist_world(seed, n_as);
+        let mut sorted = raw.clone();
+        sorted.sort();
+        sorted.dedup();
+        let head = hitlist_head(target, &routes, &sorted);
+        let hitlist = Hitlist::new(raw, &routes);
+        let plan = SourcePlan::build_deterministic(target, &routes, &hitlist, salt);
+        let others: Vec<IpAddr> = plan
+            .sources
+            .iter()
+            .filter(|(c, _)| *c == SourceCategory::OtherPrefix)
+            .map(|&(_, s)| s)
+            .take(head.len())
+            .collect();
+        prop_assert_eq!(others.len(), head.len());
+        for (i, (p, s)) in head.iter().zip(&others).enumerate() {
+            prop_assert!(p.contains(*s), "other-prefix source {} ({}) not in {:?}", i, s, p);
+        }
+        prop_assert_eq!(SourcePlan::planned_len(target, &routes, &hitlist), plan.len());
     }
 }
 

@@ -30,6 +30,7 @@ use bcd_core::sources::SourcePlan;
 use bcd_core::targets::TargetSet;
 use bcd_core::{entries_digest, ExperimentConfig, LaneLayout};
 use bcd_netsim::{Asn, Prefix, PrefixTable, SimDuration};
+use bcd_worldgen::Hitlist;
 use std::collections::HashMap;
 use std::net::IpAddr;
 
@@ -70,7 +71,7 @@ fn build_streamed(
             Schedule::build_lanes(
                 targets,
                 routes,
-                &[],
+                &Hitlist::default(),
                 None,
                 &shard::lanes_of_shard(&lane_shard, sid),
                 census,
@@ -100,11 +101,26 @@ fn streaming_equals_global_oracle_across_shard_counts() {
         let (targets, routes) = population(23, 7);
         for rate in [3u32, 70, 700] {
             let lanes = schedule::lane_count(rate);
-            let census = schedule::census(&targets, &routes, &[], None, lanes, seed, None);
+            let census = schedule::census(
+                &targets,
+                &routes,
+                &Hitlist::default(),
+                None,
+                lanes,
+                seed,
+                None,
+            );
             assert!(census.total > 0, "population must schedule something");
             let layout =
                 LaneLayout::new(rate, SimDuration::from_secs(60), census.total, seed, None);
-            let oracle = Schedule::build_global(&targets, &routes, &[], None, &census, &layout);
+            let oracle = Schedule::build_global(
+                &targets,
+                &routes,
+                &Hitlist::default(),
+                None,
+                &census,
+                &layout,
+            );
             let oracle_rows = flatten(std::slice::from_ref(&oracle), &targets);
             for shards in [1usize, 4, 8] {
                 let (parts, lane_shard) =
@@ -139,7 +155,15 @@ fn per_second_cap_never_exceeded_across_lane_union() {
     let (targets, routes) = population(31, 9);
     for rate in [2u32, 13, 64, 700] {
         let lanes = schedule::lane_count(rate);
-        let census = schedule::census(&targets, &routes, &[], None, lanes, 42, None);
+        let census = schedule::census(
+            &targets,
+            &routes,
+            &Hitlist::default(),
+            None,
+            lanes,
+            42,
+            None,
+        );
         let layout = LaneLayout::new(rate, SimDuration::from_secs(10), census.total, 42, None);
         let (parts, _) = build_streamed(&targets, &routes, &census, &layout, 4);
         // The global cap must hold over the union of all shards, not just
@@ -171,10 +195,26 @@ fn target_rows_independent_of_surrounding_population() {
     let lanes = schedule::lane_count(rate);
     let window = SimDuration::from_secs(30);
     let rows_of = |targets: &TargetSet, routes: &PrefixTable| {
-        let census = schedule::census(targets, routes, &[], None, lanes, salt, None);
+        let census = schedule::census(
+            targets,
+            routes,
+            &Hitlist::default(),
+            None,
+            lanes,
+            salt,
+            None,
+        );
         let layout = LaneLayout::new(rate, window, census.total, salt, None);
         let all: Vec<usize> = (0..lanes).collect();
-        let s = Schedule::build_lanes(targets, routes, &[], None, &all, &census, &layout);
+        let s = Schedule::build_lanes(
+            targets,
+            routes,
+            &Hitlist::default(),
+            None,
+            &all,
+            &census,
+            &layout,
+        );
         let mut by_target: HashMap<IpAddr, Vec<(u64, IpAddr, u8)>> = HashMap::new();
         for q in s.iter_with(targets) {
             by_target.entry(q.target).or_default().push((
@@ -213,8 +253,8 @@ fn phase_and_plan_survive_target_set_identity() {
     let (targets, routes) = population(11, 5);
     let layout = LaneLayout::new(700, SimDuration::from_secs(5), 100, 99, None);
     for t in targets.iter() {
-        let p1 = SourcePlan::build_deterministic(t.addr, &routes, &[], 99);
-        let p2 = SourcePlan::build_deterministic(t.addr, &routes, &[], 99);
+        let p1 = SourcePlan::build_deterministic(t.addr, &routes, &Hitlist::default(), 99);
+        let p2 = SourcePlan::build_deterministic(t.addr, &routes, &Hitlist::default(), 99);
         assert_eq!(p1.sources, p2.sources);
         assert_eq!(layout.phase(t.addr), layout.phase(t.addr));
     }

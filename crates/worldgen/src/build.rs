@@ -7,6 +7,7 @@
 use crate::addressing::{carve_v4_24s, carve_v6_64s, AddressAllocator};
 use crate::config::WorldConfig;
 use crate::ditl::{self, DitlRecord};
+use crate::hitlist::Hitlist;
 use crate::profile::{
     sample_identity_for_class, sample_port_2018, sample_port_identity, AclKind, Port2018,
     PortClass, ResolverMeta,
@@ -101,9 +102,10 @@ pub struct World {
     /// Host ids of the experiment-zone servers `(main, f4, f6)` — used by
     /// the §3.6.4 wildcard ablation.
     pub experiment_hosts: (usize, usize, usize),
-    /// The IPv6 hitlist: /64s with observed activity (every /64 hosting a
-    /// target, plus actives without targets), per §3.2's source heuristic.
-    pub v6_hitlist: Vec<Prefix>,
+    /// The IPv6 hitlist (§3.2's source heuristic): every /64 hosting an
+    /// IPv6 target, grouped by origin AS so a target's preferred /64s are
+    /// one lookup away.
+    pub v6_hitlist: Hitlist,
     /// Compiled chaos schedule (from `cfg.chaos` and/or the `link_loss`
     /// alias), armed in every spawned runtime. Compiled once here so all
     /// shards share the identical schedule.
@@ -781,15 +783,14 @@ pub fn build(cfg: WorldConfig) -> World {
         }
     }
 
-    // The IPv6 hitlist: /64s that contain targets ("observed activity"),
-    // plus a sprinkling of active-but-untargeted prefixes.
-    let mut v6_hitlist: Vec<Prefix> = resolvers
+    // The IPv6 hitlist: /64s that contain targets ("observed activity").
+    // Deduplicated and grouped by origin AS once the routes are final,
+    // below.
+    let v6_active: Vec<Prefix> = resolvers
         .iter()
         .filter(|r| r.addr.is_ipv6())
         .map(|r| Prefix::subprefix_of(r.addr, 64))
         .collect();
-    v6_hitlist.sort();
-    v6_hitlist.dedup();
 
     drop(target_addrs);
     // The queryable index: sorted by address (unique by construction).
@@ -827,6 +828,7 @@ pub fn build(cfg: WorldConfig) -> World {
 
     let WorldBuilder { tb, blueprints } = net;
     let topo = Arc::new(tb.finish());
+    let v6_hitlist = Hitlist::new(v6_active, topo.routes());
 
     // Compile the chaos schedule over the finished world. The fault domain
     // is the measured edge: burst/flap windows target measured ASes,

@@ -15,9 +15,11 @@ pub mod addressing;
 pub mod build;
 pub mod config;
 pub mod ditl;
+pub mod hitlist;
 pub mod profile;
 
 pub use build::{AuthEstate, SavTruth, ScannerSlot, World, WorldRuntime, LOG_EXPERIMENT, LOG_ROOT};
 pub use config::WorldConfig;
 pub use ditl::DitlRecord;
+pub use hitlist::Hitlist;
 pub use profile::{AclKind, Port2018, PortClass, ResolverMeta};
