@@ -1,9 +1,9 @@
-//! LPM engine comparison: the level-compressed trie (the default) against
-//! the sorted-map oracle (`BCD_LPM=map`), at an Internet-scale table size.
-//! `routing.rs` covers the default engine at survey-scale tables; this
-//! bench isolates the engine choice itself.
+//! LPM engine comparison: the compact arena trie behind `PrefixTable`
+//! against the boxed-node `PrefixMap` reference, at an Internet-scale
+//! table size. `routing.rs` covers the routing table at survey-scale
+//! tables; this bench isolates the engine choice itself.
 
-use bcd_netsim::{Asn, Prefix, PrefixTable};
+use bcd_netsim::{Asn, LpmTrie, Prefix, PrefixMap};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::net::IpAddr;
@@ -26,17 +26,26 @@ fn announcements(n: u32) -> Vec<(Prefix, Asn)> {
     out
 }
 
-fn fill(mut t: PrefixTable, ann: &[(Prefix, Asn)]) -> PrefixTable {
+fn fill_trie(ann: &[(Prefix, Asn)]) -> LpmTrie<Asn> {
+    let mut t = LpmTrie::new();
     for &(p, asn) in ann {
-        t.announce(p, asn);
+        t.insert(p, asn);
     }
     t
 }
 
+fn fill_map(ann: &[(Prefix, Asn)]) -> PrefixMap<Asn> {
+    let mut m = PrefixMap::new();
+    for &(p, asn) in ann {
+        m.insert(p, asn);
+    }
+    m
+}
+
 fn bench(c: &mut Criterion) {
     let ann = announcements(500_000); // ~540k prefixes: Internet-table order
-    let trie = fill(PrefixTable::with_trie(), &ann);
-    let map = fill(PrefixTable::with_map(), &ann);
+    let trie = fill_trie(&ann);
+    let map = fill_map(&ann);
     let probes: Vec<IpAddr> = (0..4_096u32)
         .map(|i| {
             format!("{}.{}.{}.7", 1 + (i % 200), (i * 7) & 0xFF, (i * 13) & 0xFF)
@@ -50,26 +59,22 @@ fn bench(c: &mut Criterion) {
         let mut i = 0;
         b.iter(|| {
             i = (i + 1) % probes.len();
-            black_box(trie.origin(probes[i]))
+            black_box(trie.get(probes[i]))
         })
     });
     g.bench_function("map", |b| {
         let mut i = 0;
         b.iter(|| {
             i = (i + 1) % probes.len();
-            black_box(map.origin(probes[i]))
+            black_box(map.get(probes[i]))
         })
     });
     g.finish();
 
     let mut g = c.benchmark_group("lpm_build_100k");
     let small: Vec<_> = ann.iter().take(100_000).copied().collect();
-    g.bench_function("trie", |b| {
-        b.iter(|| fill(PrefixTable::with_trie(), black_box(&small)))
-    });
-    g.bench_function("map", |b| {
-        b.iter(|| fill(PrefixTable::with_map(), black_box(&small)))
-    });
+    g.bench_function("trie", |b| b.iter(|| fill_trie(black_box(&small))));
+    g.bench_function("map", |b| b.iter(|| fill_map(black_box(&small))));
     g.finish();
 }
 

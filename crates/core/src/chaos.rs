@@ -136,7 +136,7 @@ pub fn run_checked(
 /// verdict), the ddmin-shrunk minimal reproducer when available, and the
 /// causal flight-recorder window leading up to the failure. Every section
 /// is shard-invariant, so the artifact is byte-identical under any
-/// `BCD_SHARDS` / `BCD_SCHED` configuration (the trace-invariance suite
+/// `BCD_SHARDS` / scheduler configuration (the trace-invariance suite
 /// locks this in).
 pub fn violation_artifact(
     clean: &ExperimentData,

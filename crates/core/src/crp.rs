@@ -20,7 +20,7 @@
 //!   source plans are hashes of the canonical target bytes
 //!   ([`crate::sources::SourcePlan::build_deterministic`]), so both methods
 //!   probe byte-identical `(src, dst)` pairs and the CRP pass is itself
-//!   byte-identical across any `BCD_SHARDS` × `BCD_SCHED` layout.
+//!   byte-identical across any `BCD_SHARDS` × scheduler layout.
 //! * **Separate pass** — the CRP scan is one [`Pass`] value run through
 //!   the same [`run_pass`] as method A, on its own engine runtimes over the
 //!   same shared [`World`](bcd_worldgen::World) and [`TargetSet`]: the

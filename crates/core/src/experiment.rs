@@ -15,7 +15,7 @@ use crate::targets::TargetSet;
 use bcd_dns::QueryLogEntry;
 use bcd_dnswire::RCode;
 use bcd_netsim::{
-    stream_seed, FlightRecorder, HostConfig, NetCounters, SimDuration, SimTime, StackPolicy, Trace,
+    stream_seed, FlightRecorder, HostConfig, NetCounters, SimDuration, SimTime, StackPolicy,
 };
 use bcd_obs::report::names;
 use bcd_obs::{Det, MetricsRegistry, ObsEnv, RunObservation, RunProfile};
@@ -80,7 +80,7 @@ pub struct ExperimentConfig {
     /// Schedule constructor: the streaming per-shard lane build (default)
     /// or the legacy-shaped global oracle. The two are byte-equal (the
     /// differential suite proves it); `Global` exists only so that claim
-    /// stays checkable. The constructors honour `BCD_SCHEDULE=global`.
+    /// stays checkable, and tests select it here.
     pub schedule_mode: ScheduleMode,
 }
 
@@ -103,7 +103,7 @@ impl ExperimentConfig {
             shards: shard::shards_from_env().unwrap_or(1),
             workers: shard::workers_from_env().unwrap_or(0),
             target_sample: None,
-            schedule_mode: schedule::mode_from_env().unwrap_or_default(),
+            schedule_mode: ScheduleMode::default(),
         }
     }
 
@@ -142,12 +142,11 @@ pub struct ExperimentData {
     /// Deliver events still queued at the horizon, summed over all shards
     /// (in-flight packets the conservation invariant must account for).
     pub pending_deliveries: u64,
-    /// Merged packet capture, when the world config enables one.
-    pub trace: Option<Trace>,
     /// Merged causal span flight recorder, when the run armed one
     /// (`BCD_TRACE` or [`ObsEnv::with_trace`]). Byte-identical to a
     /// single-shard recorder at any shard count (see
-    /// [`bcd_netsim::FlightRecorder`]'s merge contract).
+    /// [`bcd_netsim::FlightRecorder`]'s merge contract). Its packet-fate
+    /// spans are the run's packet capture ([`bcd_netsim::pcap`]).
     pub flight: Option<FlightRecorder>,
     /// The run's observability artifact: phase profile, deterministic
     /// aggregate metrics, per-shard slices (see [`bcd_obs`]). Callers may
@@ -298,7 +297,7 @@ impl Experiment {
         // the per-shard layout slices fills in whatever the stable side
         // does not claim. Drops are only deterministic when no stochastic
         // link faults ran (see `observe::stable_aggregate`).
-        let loss_free = cfg.world.link_loss == 0.0 && cfg.world.chaos.is_none();
+        let loss_free = cfg.world.chaos.is_none();
         let mut aggregate = observe::stable_aggregate(
             &merged.entries,
             &merged.scanner_stats,
@@ -329,13 +328,6 @@ impl Experiment {
             Det::Stable,
             sched_end.as_secs(),
         );
-        // Run-level bounded-window accounting, claimed from the *merged*
-        // artifacts before the per-shard fold so the folded sums (which
-        // double-count per-shard warmup capture) cannot shadow them.
-        if let Some(t) = &merged.trace {
-            aggregate.add_counter(names::TRACE_CAPTURED, &[], Det::Layout, t.len() as u64);
-            aggregate.add_counter(names::TRACE_EVICTED, &[], Det::Layout, t.evicted);
-        }
         // Causal-span counters are shard-invariant (canonical-order
         // eviction; warmup is never traced) — but span *details* include
         // fault fates, so they only enter the deterministic surface when no
@@ -397,7 +389,6 @@ impl Experiment {
             counters: merged.counters,
             budget_exhausted: merged.budget_exhausted,
             pending_deliveries: merged.pending_deliveries,
-            trace: merged.trace,
             flight: merged.flight,
             obs,
             cfg,
@@ -494,7 +485,7 @@ pub(crate) fn run_pass(
     // only its own lanes' probes (plans and phases are hashes of the
     // canonical target bytes) and smooths them under the lanes' own rate
     // quotas — the global query vec is never materialized.
-    // `BCD_SCHEDULE=global` swaps in the legacy-shaped oracle, which *does*
+    // `ScheduleMode::Global` swaps in the legacy-shaped oracle, which *does*
     // materialize it, then partitions along the same lane map; the two are
     // byte-equal (tests/schedule_stream.rs).
     announce(env, &phase("schedule-build"));
@@ -686,15 +677,8 @@ fn run_shard(
     let dns = observe::dns_totals(&wrt.net);
     let events = wrt.net.events_processed();
     let pending_deliveries = wrt.net.pending_deliveries();
-    let trace = wrt.net.trace.take();
     let flight = wrt.net.take_flight();
-    let metrics = observe::shard_registry(
-        &wrt.net.counters,
-        events,
-        &dns,
-        &scanner_stats,
-        trace.as_ref(),
-    );
+    let metrics = observe::shard_registry(&wrt.net.counters, events, &dns, &scanner_stats);
     ShardOutcome {
         entries,
         scanner_stats,
@@ -703,7 +687,6 @@ fn run_shard(
         events,
         budget_exhausted: wrt.net.budget_exhausted,
         pending_deliveries,
-        trace,
         flight,
         dns,
         metrics,

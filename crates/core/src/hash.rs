@@ -5,7 +5,7 @@
 //! and source-plan RNG seed — must depend only on *canonical bytes* (the
 //! target address, the qname), never on iteration order or RNG stream
 //! position. That is what keeps the schedule and every packet observable
-//! byte-identical across `BCD_SHARDS`, `BCD_WORKERS` and `BCD_SCHED`.
+//! byte-identical across `BCD_SHARDS`, `BCD_WORKERS` and the event scheduler.
 //!
 //! FNV-1a: tiny state, stable across platforms, and good enough spread
 //! for bucketing/phases (we never need cryptographic strength here — the

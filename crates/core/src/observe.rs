@@ -26,7 +26,7 @@ use crate::scanner::ScannerStats;
 use crate::targets::TargetSet;
 use bcd_dns::{QueryLogEntry, RecursiveResolver};
 use bcd_dnswire::RCode;
-use bcd_netsim::{Merge, NetCounters, Runtime, SimTime, Trace};
+use bcd_netsim::{Merge, NetCounters, Runtime, SimTime};
 use bcd_obs::report::names;
 use bcd_obs::{Det, MetricsRegistry};
 use bcd_worldgen::World;
@@ -106,7 +106,6 @@ pub fn shard_registry(
     events: u64,
     dns: &DnsTotals,
     scanner: &ScannerStats,
-    trace: Option<&Trace>,
 ) -> MetricsRegistry {
     let mut m = MetricsRegistry::new();
     let det = Det::Layout;
@@ -131,10 +130,6 @@ pub fn shard_registry(
         dns.cache_nxdomains as i64,
     );
     m.set_gauge(names::DNS_CACHE_CUTS, &[], det, dns.cache_cuts as i64);
-    if let Some(t) = trace {
-        m.add_counter(names::TRACE_CAPTURED, &[], det, t.len() as u64);
-        m.add_counter(names::TRACE_EVICTED, &[], det, t.evicted);
-    }
     m
 }
 
@@ -145,7 +140,7 @@ pub const LOG_HOUR_BOUNDS: [u64; 8] = [1, 2, 3, 4, 6, 8, 12, 24];
 /// The deterministic aggregate, built from **merged** run artifacts only.
 ///
 /// `probe_drops` is the merged engine drop breakdown, passed only for a
-/// *loss-free* run (`link_loss == 0`): with no stochastic link faults,
+/// *loss-free* run (no chaos profile armed): with no stochastic faults,
 /// every drop traces to shard-partitioned probe traffic (DSAV filtering
 /// and friends) and the merged breakdown is shard-count-invariant. With
 /// loss enabled, pass `None` — drops then surface only through the
@@ -288,13 +283,7 @@ mod tests {
             ..NetCounters::default()
         };
         c.drop(bcd_netsim::DropReason::Dsav);
-        let reg = shard_registry(
-            &c,
-            123,
-            &DnsTotals::default(),
-            &ScannerStats::default(),
-            None,
-        );
+        let reg = shard_registry(&c, 123, &DnsTotals::default(), &ScannerStats::default());
         assert_eq!(reg.iter_class(Det::Stable).count(), 0);
         assert_eq!(reg.counter(names::NET_SENT, &[]), 10);
         assert_eq!(

@@ -35,7 +35,7 @@
 //!
 //! [`Schedule::build_global`] keeps the legacy shape — materialize
 //! everything, sort globally, smooth in one pass — as a differential
-//! oracle (`BCD_SCHEDULE=global`): the streaming per-lane build must be
+//! oracle ([`ScheduleMode::Global`]): the streaming per-lane build must be
 //! byte-equal to the partitioned global build on every world, which the
 //! `schedule_stream` suite checks across shard counts and seeds.
 
@@ -66,22 +66,13 @@ pub fn lane_of_asn(asn: u32, lanes: usize) -> usize {
 }
 
 /// Which schedule constructor the experiment uses. `Streaming` is the
-/// production path; `Global` is the legacy-shaped oracle kept for the
-/// differential harness (`BCD_SCHEDULE=global`).
+/// production path; `Global` is the legacy-shaped oracle the differential
+/// tests select through `ExperimentConfig::schedule_mode`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScheduleMode {
     #[default]
     Streaming,
     Global,
-}
-
-/// Parse `BCD_SCHEDULE` (`stream`/`streaming` or `global`).
-pub fn mode_from_env() -> Option<ScheduleMode> {
-    match std::env::var("BCD_SCHEDULE").ok()?.as_str() {
-        "global" => Some(ScheduleMode::Global),
-        "stream" | "streaming" => Some(ScheduleMode::Streaming),
-        _ => None,
-    }
 }
 
 /// Deterministic 1-in-`sample` target keep decision, hash-derived from the
@@ -412,9 +403,9 @@ impl Schedule {
 
     /// The legacy-shaped oracle: materialize every probe in one vec, sort
     /// globally, smooth in one pass over the global order (with the same
-    /// per-lane buckets), sort again. Kept only so the differential suite
-    /// and `BCD_SCHEDULE=global` can prove the streaming path equivalent —
-    /// never run at full population.
+    /// per-lane buckets), sort again. Kept only so the differential tests
+    /// can prove the streaming path equivalent — never run at full
+    /// population.
     pub fn build_global(
         targets: &TargetSet,
         routes: &PrefixTable,

@@ -32,7 +32,7 @@ use crate::observe::DnsTotals;
 use crate::scanner::ScannerStats;
 use bcd_dns::QueryLogEntry;
 use bcd_dnswire::RCode;
-use bcd_netsim::{FlightRecorder, Merge, NetCounters, SimTime, Trace};
+use bcd_netsim::{FlightRecorder, Merge, NetCounters, SimTime};
 use bcd_obs::MetricsRegistry;
 use std::net::IpAddr;
 use std::time::Duration;
@@ -164,9 +164,8 @@ pub struct ShardOutcome {
     /// Deliver events still queued when the horizon ended (in-flight
     /// packets; the conservation invariant needs them to balance `sent`).
     pub pending_deliveries: u64,
-    /// Packet capture, when the world config enables one.
-    pub trace: Option<Trace>,
-    /// Causal span flight recorder, when the run armed one (`BCD_TRACE`).
+    /// Causal span flight recorder (and packet capture), when the run
+    /// armed one (`BCD_TRACE`).
     pub flight: Option<FlightRecorder>,
     /// Resolver counter totals harvested from this shard's runtime.
     pub dns: DnsTotals,
@@ -235,7 +234,6 @@ pub fn merge_outcomes(outcomes: Vec<ShardOutcome>) -> ShardOutcome {
         events: 0,
         budget_exhausted: false,
         pending_deliveries: 0,
-        trace: None,
         flight: None,
         dns: DnsTotals::default(),
         metrics: MetricsRegistry::new(),
@@ -266,11 +264,6 @@ pub fn merge_outcomes(outcomes: Vec<ShardOutcome>) -> ShardOutcome {
         merged.wall += o.wall;
         merged.spawn_wall += o.spawn_wall;
         merged.extract_wall += o.extract_wall;
-        match (&mut merged.trace, o.trace) {
-            (Some(t), Some(other)) => t.merge(other),
-            (t @ None, Some(other)) => *t = Some(other),
-            _ => {}
-        }
         match (&mut merged.flight, o.flight) {
             (Some(f), Some(other)) => f.merge(other),
             (f @ None, Some(other)) => *f = Some(other),

@@ -51,15 +51,9 @@ fn deterministic_jsonl_and_report_are_shard_count_invariant() {
             );
             // Bounded-window eviction counters are shard-invariant by
             // construction (canonical-order eviction in the flight
-            // recorder; run-level claims for the packet-capture ring) —
-            // differing counts here would mean the windows retained
-            // different spans at different layouts.
-            for name in [
-                names::TRACE_EVICTED,
-                names::TRACE_CAPTURED,
-                names::SPAN_EVICTED,
-                names::SPAN_RECORDED,
-            ] {
+            // recorder) — differing counts here would mean the window
+            // retained different spans at different layouts.
+            for name in [names::SPAN_EVICTED, names::SPAN_RECORDED] {
                 assert_eq!(
                     data1.obs.aggregate.counter(name, &[]),
                     data_n.obs.aggregate.counter(name, &[]),

@@ -14,8 +14,9 @@
 //! Shard counts cover {1, 4, 8}; chaos covers clean plus two named
 //! profiles (a drop-flavoured and a crash-flavoured one). Paper-shape
 //! worlds are covered by an `#[ignore]`d test (minutes in debug builds;
-//! CI exercises the tiny matrix on every push and the full suite runs
-//! under both `BCD_SCHED` values in the sched-matrix job).
+//! CI exercises the tiny matrix on every push). The golden suites
+//! (`golden_report.rs`, `chaos_golden.rs`) additionally re-run their
+//! surveys under `SchedKind::Heap` against the committed snapshots.
 
 use bcd_core::analysis::categories::CategoryReport;
 use bcd_core::analysis::openclosed::OpenClosedReport;

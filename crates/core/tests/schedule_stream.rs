@@ -6,7 +6,7 @@
 //! canonical target bytes, and the rate cap is enforced through
 //! deterministic per-lane quotas. The only acceptable evidence that the
 //! swap is safe is byte-equality against the legacy-shaped oracle
-//! ([`Schedule::build_global`], also reachable as `BCD_SCHEDULE=global`):
+//! ([`Schedule::build_global`], also reachable as `ScheduleMode::Global`):
 //!
 //! * **stream ≡ global** — the concatenation of every shard's streamed
 //!   part equals the globally built schedule, row for row, for every

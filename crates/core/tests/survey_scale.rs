@@ -14,9 +14,6 @@
 //! Knobs (all optional):
 //! * `BCD_SURVEY_SAMPLE` — keep-1-in-N target sampling (default 4096).
 //! * `BCD_SHARDS` / `BCD_WORKERS` — honoured by the config constructors.
-//! * `BCD_SCHEDULE=global` — swap in the legacy-shaped oracle
-//!   constructor (byte-equal, but materializes the global vec; expect a
-//!   higher watermark).
 //! * `BCD_SCALE_PROFILE=path.jsonl` — export the per-phase wall/RSS
 //!   breakdown for the CI artifact.
 //! * `BCD_SURVEY_REPORT=path.txt` — write the deterministic run report.

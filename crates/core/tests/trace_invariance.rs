@@ -1,10 +1,11 @@
 //! Shard- and scheduler-invariance of the causal span flight recorder.
 //!
-//! The tracing contract (ISSUE acceptance): with `BCD_TRACE` armed, the
-//! merged flight recorder — every span, every step index, the eviction
-//! count, and the rendered dump — is **byte-identical** for `BCD_SHARDS`
-//! ∈ {1, 4, 8} under both event schedulers (`BCD_SCHED=heap|wheel`) at
-//! the same seed. Trace ids derive from qnames (never host RNG), spans
+//! The tracing contract: with `BCD_TRACE` armed, the merged flight
+//! recorder — every span, every step index, the eviction count, the
+//! rendered dump, and the pcap export of its captured packets — is
+//! **byte-identical** for `BCD_SHARDS` ∈ {1, 4, 8} under both event
+//! schedulers ([`SchedKind::Heap`] and [`SchedKind::Wheel`]) at the same
+//! seed. Trace ids derive from qnames (never host RNG), spans
 //! evict in canonical `(time, trace, step)` order, and warmup resolver
 //! traffic is never traced, so nothing in the recorder may betray how the
 //! run was split or which queue implementation ordered its events.
@@ -18,7 +19,7 @@
 
 use bcd_core::chaos::{self, violation_artifact};
 use bcd_core::{run_dual, Experiment, ExperimentConfig, ExperimentData};
-use bcd_netsim::{SchedKind, TraceSample};
+use bcd_netsim::{pcap, SchedKind, TraceSample};
 use bcd_obs::{chrome_trace_json, ObsEnv, RunProfile, TraceConfig};
 use std::path::PathBuf;
 
@@ -44,6 +45,11 @@ fn flight_recorder_is_shard_and_scheduler_invariant() {
         // function of the recorder; rendered against an empty profile the
         // whole document must be invariant too.
         let chrome = chrome_trace_json(flight, &RunProfile::new());
+        let pcap_bytes = pcap::pcap_bytes(flight, true);
+        assert!(
+            pcap_bytes.len() > 24,
+            "seed {seed}: pcap export captured no packets"
+        );
         for (shards, sched) in [
             (4usize, SchedKind::Wheel),
             (8, SchedKind::Wheel),
@@ -72,6 +78,10 @@ fn flight_recorder_is_shard_and_scheduler_invariant() {
                 chrome,
                 chrome_trace_json(f, &RunProfile::new()),
                 "seed {seed}, {shards} shards, {sched:?}: chrome export differs"
+            );
+            assert!(
+                pcap_bytes == pcap::pcap_bytes(f, true),
+                "seed {seed}, {shards} shards, {sched:?}: pcap bytes differ"
             );
         }
     }

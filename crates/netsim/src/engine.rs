@@ -11,9 +11,9 @@
 //!   (the same separation of immutable target/route state from per-worker
 //!   probe state that high-rate scanners like ZMap rely on).
 //! * [`Runtime`] — the **mutable** run: per-host [`Node`] behaviours and
-//!   RNG streams, the event queue, clock, counters, and traces. A runtime
-//!   is cheap to instantiate from a shared topology; each shard gets its
-//!   own.
+//!   RNG streams, the event queue, clock, counters, and the span flight
+//!   recorder. A runtime is cheap to instantiate from a shared topology;
+//!   each shard gets its own.
 //!
 //! [`Network`] bundles the two for the common single-engine case and keeps
 //! the classic build-then-run API (`add_as` / `announce` / `add_host` /
@@ -44,7 +44,6 @@ use crate::sched::{EngineSched, EventKind, EventQueue, QueuedEvent, SchedKind};
 use crate::span::{FlightRecorder, SpanKind};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{AsInfo, Asn, BorderPolicy, StackPolicy};
-use crate::trace::{Trace, TracePoint};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, HashMap};
@@ -60,12 +59,10 @@ pub struct NetworkConfig {
     pub core_link: LinkProfile,
     /// Link profile for intra-AS traversals.
     pub intra_link: LinkProfile,
-    /// Capture packets into a [`Trace`] with this capacity.
-    pub trace_capacity: Option<usize>,
     /// Hard event budget; the run stops (and flags it) when exhausted.
     pub max_events: u64,
     /// Event-scheduler implementation (see [`crate::sched`]). The two are
-    /// observationally identical; the default honours `BCD_SCHED`.
+    /// observationally identical; tests select the heap oracle here.
     pub sched: SchedKind,
 }
 
@@ -75,9 +72,8 @@ impl Default for NetworkConfig {
             seed: 0,
             core_link: LinkProfile::internet(),
             intra_link: LinkProfile::ideal(),
-            trace_capacity: None,
             max_events: 2_000_000_000,
-            sched: SchedKind::from_env(),
+            sched: SchedKind::default(),
         }
     }
 }
@@ -425,8 +421,6 @@ pub struct Runtime {
     parked_node: Option<Box<dyn Node>>,
     /// Packet accounting for the whole run.
     pub counters: NetCounters,
-    /// Optional packet capture.
-    pub trace: Option<Trace>,
     /// Optional causal span flight recorder (armed per run via
     /// [`Runtime::arm_flight`], never via topology config, so arming does
     /// not perturb topology digests or shared worlds).
@@ -452,7 +446,6 @@ impl Runtime {
         let seed = topo.cfg.seed;
         let sched = topo.cfg.sched;
         let rng = ChaCha8Rng::seed_from_u64(seed);
-        let trace = topo.cfg.trace_capacity.map(Trace::with_capacity);
         let hosts = nodes
             .into_iter()
             .enumerate()
@@ -476,7 +469,6 @@ impl Runtime {
             effects_buf: Vec::new(),
             parked_node: None,
             counters: NetCounters::default(),
-            trace,
             flight: None,
             started: false,
             events_processed: 0,
@@ -562,6 +554,17 @@ impl Runtime {
         }
         if let Some(fr) = self.flight.as_mut() {
             fr.record(self.now, trace, kind, detail());
+        }
+    }
+
+    /// Emit a packet-fate span (deliver, intercept, drop) that captures
+    /// the packet for pcap export; same no-op rules as [`Runtime::span`].
+    fn packet_span(&mut self, kind: SpanKind, pkt: &Packet, detail: impl FnOnce() -> String) {
+        if pkt.trace == 0 {
+            return;
+        }
+        if let Some(fr) = self.flight.as_mut() {
+            fr.record_packet(self.now, pkt.trace, kind, detail(), pkt);
         }
     }
 
@@ -687,18 +690,11 @@ impl Runtime {
         4 + (h % 21) as u8
     }
 
-    fn record(&mut self, point: TracePoint, pkt: &Packet) {
-        if let Some(t) = self.trace.as_mut() {
-            t.record(self.now, point, pkt);
-        }
-    }
-
-    /// Account a drop: counter, packet trace, and (for traced packets) a
-    /// `Fate` span naming the reason.
+    /// Account a drop: counter and (for traced packets) a `Fate` span
+    /// naming the reason and capturing the packet.
     fn drop_packet(&mut self, reason: DropReason, pkt: &Packet) {
         self.counters.drop(reason);
-        self.record(TracePoint::Dropped(reason), pkt);
-        self.span(pkt.trace, SpanKind::Fate, || format!("drop {reason}"));
+        self.packet_span(SpanKind::Fate, pkt, || format!("drop {reason}"));
     }
 
     /// `FaultSchedule::host_down` with a one-entry memo keyed on
@@ -724,7 +720,6 @@ impl Runtime {
     /// survives, enqueue delivery.
     fn dispatch_send(&mut self, from: HostId, pkt: Packet) {
         self.counters.sent += 1;
-        self.record(TracePoint::Sent, &pkt);
         self.span(pkt.trace, SpanKind::Send, || {
             let proto = match &pkt.transport {
                 Transport::Udp(_) => "udp",
@@ -868,7 +863,7 @@ impl Runtime {
                 seq,
                 kind: EventKind::Deliver {
                     // Payload bytes are Arc-shared, so duplicating a
-                    // delivery (like every trace capture) is a refcount
+                    // delivery (like every span capture) is a refcount
                     // bump, not a deep copy of the DNS message.
                     pkt: delivered.clone(),
                     from_asn: origin_asn,
@@ -987,8 +982,7 @@ impl Runtime {
             if let Some(mbx) = interceptor {
                 if matches!(&pkt.transport, Transport::Udp(u) if u.dst_port == 53) {
                     self.counters.intercepted += 1;
-                    self.record(TracePoint::Intercepted, &pkt);
-                    self.span(pkt.trace, SpanKind::Intercept, || {
+                    self.packet_span(SpanKind::Intercept, &pkt, || {
                         format!("as{} middlebox grabbed udp/53 for {}", dst_asn.0, pkt.dst)
                     });
                     deliver_to = Some(mbx);
@@ -1030,8 +1024,7 @@ impl Runtime {
         }
 
         self.counters.delivered += 1;
-        self.record(TracePoint::Delivered, &pkt);
-        self.span(pkt.trace, SpanKind::Deliver, || format!("dst={}", pkt.dst));
+        self.packet_span(SpanKind::Deliver, &pkt, || format!("dst={}", pkt.dst));
         self.invoke(host, |node, ctx| node.on_packet(ctx, pkt));
     }
 
@@ -1584,32 +1577,42 @@ mod tests {
     }
 
     #[test]
-    fn trace_captures_pipeline() {
-        let mut net = Network::new(NetworkConfig {
-            trace_capacity: Some(100),
-            core_link: LinkProfile::ideal(),
-            ..Default::default()
-        });
-        net.add_simple_as(Asn(100), BorderPolicy::open());
-        net.add_simple_as(Asn(200), BorderPolicy::open());
-        net.announce(pre("192.0.2.0/24"), Asn(100));
-        net.announce(pre("198.51.100.0/24"), Asn(200));
+    fn flight_recorder_captures_packet_fates() {
+        /// Sends one traced packet to the sink and one to an unbound
+        /// address, plus an untraced one the recorder must ignore.
+        struct TracedShooter;
+        impl Node for TracedShooter {
+            fn on_packet(&mut self, _ctx: &mut NodeCtx<'_>, _pkt: Packet) {}
+            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+                let src = ip("192.0.2.1");
+                ctx.send(Packet::udp(src, ip("198.51.100.10"), 1000, 53, vec![1]).with_trace(7));
+                ctx.send(Packet::udp(src, ip("198.51.100.99"), 1001, 53, vec![2]).with_trace(9));
+                ctx.send(Packet::udp(src, ip("198.51.100.10"), 1002, 53, vec![3]));
+            }
+        }
+        let (mut net, _sink) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
         net.add_host(
             HostConfig {
-                addrs: vec![ip("198.51.100.10")],
-                asn: Asn(200),
+                addrs: vec![ip("192.0.2.1")],
+                asn: Asn(100),
                 stack: StackPolicy::permissive(),
             },
-            Box::new(SinkNode::default()),
+            Box::new(TracedShooter),
         );
-        add_shooter(&mut net, "192.0.2.1", "198.51.100.10");
+        net.arm_flight(100);
         net.run();
-        let trace = net.trace.as_ref().unwrap();
-        assert_eq!(trace.filter(|e| e.point == TracePoint::Sent).count(), 1);
-        assert_eq!(
-            trace.filter(|e| e.point == TracePoint::Delivered).count(),
-            1
-        );
+        assert_eq!(net.counters.sent, 3);
+        let fr = net.flight().unwrap();
+        let fates: Vec<(SpanKind, u16)> = fr
+            .packets()
+            .map(|(_, kind, pkt)| (kind, pkt.transport.src_port()))
+            .collect();
+        // Exactly the traced packets' fates; send and route spans carry
+        // no packet.
+        assert_eq!(fates.len(), 2, "{fates:?}");
+        assert!(fates.contains(&(SpanKind::Deliver, 1000)));
+        assert!(fates.contains(&(SpanKind::Fate, 1001)));
+        assert!(fr.iter().any(|s| s.kind == SpanKind::Send));
     }
 
     /// One shared topology, many runtimes: the topology stays bit-identical

@@ -177,8 +177,8 @@ impl ChaosProfile {
         }
     }
 
-    /// Ambient loss only — the compatibility shape behind the classic
-    /// `link_loss` worldgen knob.
+    /// Ambient loss only: independent per-traversal drops at rate `p`,
+    /// no bursts, reordering, duplication, flaps or crashes.
     pub fn loss_only(p: f64) -> ChaosProfile {
         ChaosProfile {
             loss: p,

@@ -23,10 +23,11 @@
 //!   the destination address ("destination-as-source") or the loopback
 //!   address, per OS ([`StackPolicy`]; the per-OS tables live in
 //!   `bcd-osmodel`),
-//! * a **packet trace** facility for debugging and tests ([`Trace`]),
 //! * a **causal span flight recorder** for per-query tracing: deterministic
 //!   [`TraceId`]s carried on packets, typed [`SpanKind`] steps, bounded
-//!   shard-mergeable windows ([`FlightRecorder`]).
+//!   shard-mergeable windows ([`FlightRecorder`]). Its packet-fate spans
+//!   capture the packet itself, so the window is also the run's packet
+//!   capture, exported as libpcap by [`pcap`].
 //!
 //! Determinism: all simulation randomness flows from one `u64` seed through a
 //! `ChaCha8Rng`; event ties are broken by a monotone sequence number, so a run
@@ -53,7 +54,6 @@ pub mod sched;
 pub mod span;
 pub mod time;
 pub mod topology;
-pub mod trace;
 
 pub use counters::{DropReason, NetCounters};
 pub use engine::{
@@ -76,4 +76,3 @@ pub use sched::{EngineSched, EventQueue, HeapSched, QueuedEvent, SchedKind, Whee
 pub use span::{trace_id, FlightRecorder, Span, SpanKind, TraceId, TraceSample};
 pub use time::{SimDuration, SimTime};
 pub use topology::{AsInfo, Asn, BorderPolicy, StackPolicy};
-pub use trace::{Trace, TraceEntry, TracePoint};

@@ -10,8 +10,8 @@
 //! level instead of one heap allocation per bit.
 //!
 //! Semantics are identical to `PrefixMap` (the differential proptests in
-//! `tests/proptests.rs` and the `BCD_LPM=map` oracle switch in
-//! [`crate::PrefixTable`] hold the two to byte-equal answers): insert
+//! `tests/proptests.rs` hold the two, and [`crate::PrefixTable`] against
+//! a `PrefixMap`, to byte-equal answers): insert
 //! replaces, lookup returns the most specific stored prefix covering the
 //! address, and the two address families are fully independent (IPv4 keys
 //! are left-aligned into the same `u128` space but rooted separately).

@@ -7,13 +7,12 @@
 //! (the runner still merges in shard-id order for full determinism).
 
 use crate::counters::NetCounters;
-use crate::trace::Trace;
 
 /// Fold another instance of `Self` into this one.
 ///
 /// Implementations must be commutative and associative up to the semantics
-/// of the type (counters: exact; ordered captures: order is re-established
-/// by sorting on the entry timestamp).
+/// of the type (counters: exact; the span window: canonical order, see
+/// [`crate::FlightRecorder`]).
 pub trait Merge {
     fn merge(&mut self, other: Self);
 }
@@ -28,15 +27,6 @@ impl Merge for NetCounters {
         for (reason, n) in other.drops {
             *self.drops.entry(reason).or_insert(0) += n;
         }
-    }
-}
-
-impl Merge for Trace {
-    /// Interleave two captures by timestamp (stable: at equal times, `self`
-    /// entries precede `other`'s), keeping the larger capacity and counting
-    /// anything beyond it as overflow.
-    fn merge(&mut self, other: Trace) {
-        self.absorb(other);
     }
 }
 

@@ -1,4 +1,9 @@
-//! Export packet traces as libpcap capture files.
+//! Export the flight recorder's captured packets as libpcap files.
+//!
+//! The engine's packet-fate spans (deliver, intercept, drop) carry the
+//! packet they decided, so the span window is the run's packet capture:
+//! traced queries only, in canonical `(time, trace, step)` order, and
+//! therefore byte-identical at any shard count.
 //!
 //! The simulator's packets are abstract (typed fields, no wire bytes), so
 //! export synthesizes standards-compliant IPv4/IPv6 + UDP/TCP headers —
@@ -8,7 +13,7 @@
 //! authors debugged their own spoofed traffic.
 
 use crate::packet::{Packet, TcpSegment, Transport};
-use crate::trace::{Trace, TracePoint};
+use crate::span::{FlightRecorder, SpanKind};
 use std::io::{self, Write};
 use std::net::IpAddr;
 
@@ -178,11 +183,11 @@ fn l4_checksum(pkt: &Packet, segment: &[u8], proto: u8) -> u16 {
     }
 }
 
-/// Serialize a whole trace to classic pcap bytes. By default only
-/// `Delivered` records are included (one copy per packet); pass
-/// `include_drops` to also capture filtered packets (useful to *see* DSAV
-/// at work in Wireshark).
-pub fn pcap_bytes(trace: &Trace, include_drops: bool) -> Vec<u8> {
+/// Serialize the recorder's captured packets to classic pcap bytes. By
+/// default only deliveries and middlebox intercepts are included (one copy
+/// per hop); pass `include_drops` to also capture filtered packets (useful
+/// to *see* DSAV at work in Wireshark).
+pub fn pcap_bytes(flight: &FlightRecorder, include_drops: bool) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&0xa1b2_c3d4u32.to_le_bytes());
     out.extend_from_slice(&2u16.to_le_bytes()); // major
@@ -192,17 +197,12 @@ pub fn pcap_bytes(trace: &Trace, include_drops: bool) -> Vec<u8> {
     out.extend_from_slice(&65_535u32.to_le_bytes()); // snaplen
     out.extend_from_slice(&LINKTYPE_RAW.to_le_bytes());
 
-    for entry in trace.iter() {
-        let keep = match entry.point {
-            TracePoint::Delivered | TracePoint::Intercepted => true,
-            TracePoint::Sent => false, // avoid duplicating delivered packets
-            TracePoint::Dropped(_) => include_drops,
-        };
-        if !keep {
+    for (time, kind, pkt) in flight.packets() {
+        if kind == SpanKind::Fate && !include_drops {
             continue;
         }
-        let bytes = packet_bytes(&entry.packet);
-        let ns = entry.time.as_nanos();
+        let bytes = packet_bytes(pkt);
+        let ns = time.as_nanos();
         out.extend_from_slice(&((ns / 1_000_000_000) as u32).to_le_bytes());
         out.extend_from_slice(&(((ns % 1_000_000_000) / 1_000) as u32).to_le_bytes());
         out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
@@ -212,9 +212,13 @@ pub fn pcap_bytes(trace: &Trace, include_drops: bool) -> Vec<u8> {
     out
 }
 
-/// Write a trace to a pcap file.
-pub fn write_pcap<W: Write>(trace: &Trace, include_drops: bool, mut w: W) -> io::Result<()> {
-    w.write_all(&pcap_bytes(trace, include_drops))
+/// Write the recorder's captured packets to a pcap file.
+pub fn write_pcap<W: Write>(
+    flight: &FlightRecorder,
+    include_drops: bool,
+    mut w: W,
+) -> io::Result<()> {
+    w.write_all(&pcap_bytes(flight, include_drops))
 }
 
 #[cfg(test)]
@@ -231,6 +235,7 @@ mod tests {
             53,
             vec![0xDE, 0xAD, 0xBE, 0xEF],
         )
+        .with_trace(7)
     }
 
     fn syn6() -> Packet {
@@ -313,16 +318,30 @@ mod tests {
 
     #[test]
     fn pcap_file_structure() {
-        let mut trace = Trace::with_capacity(10);
-        trace.record(SimTime::from_secs(1), TracePoint::Sent, &udp4());
-        trace.record(SimTime::from_secs(2), TracePoint::Delivered, &udp4());
-        trace.record(
-            SimTime::from_secs(3),
-            TracePoint::Dropped(crate::counters::DropReason::Dsav),
-            &udp4(),
+        let pkt = udp4();
+        let mut fr = FlightRecorder::with_capacity(10);
+        fr.record(
+            SimTime::from_secs(1),
+            pkt.trace,
+            SpanKind::Send,
+            "tx".into(),
         );
-        let bytes = pcap_bytes(&trace, false);
-        // Global header + exactly one record (Delivered only).
+        fr.record_packet(
+            SimTime::from_secs(2),
+            pkt.trace,
+            SpanKind::Deliver,
+            "rx".into(),
+            &pkt,
+        );
+        fr.record_packet(
+            SimTime::from_secs(3),
+            pkt.trace,
+            SpanKind::Fate,
+            "drop dsav-ingress".into(),
+            &pkt,
+        );
+        let bytes = pcap_bytes(&fr, false);
+        // Global header + exactly one record (the delivery only).
         assert_eq!(
             u32::from_le_bytes(bytes[0..4].try_into().unwrap()),
             0xa1b2_c3d4
@@ -336,8 +355,8 @@ mod tests {
         assert_eq!(u32::from_le_bytes(bytes[24..28].try_into().unwrap()), 2); // ts_sec
 
         // With drops, two records.
-        let with_drops = pcap_bytes(&trace, true);
-        assert!(with_drops.len() > bytes.len());
+        let with_drops = pcap_bytes(&fr, true);
+        assert_eq!(with_drops.len(), 24 + 2 * (16 + rec_len));
     }
 
     #[test]

@@ -9,16 +9,16 @@
 //!
 //! [`PrefixMap`] is the generic engine — a binary trie over address bits,
 //! most-significant-bit first, shared between the two families by
-//! left-aligning IPv4 keys in a `u128`. [`PrefixTable`] specializes it to
-//! prefix → origin-ASN routing with a reverse index. (`bcd-geo` reuses
-//! [`PrefixMap`] for prefix → country.)
+//! left-aligning IPv4 keys in a `u128`. `bcd-geo` uses it for prefix →
+//! country, and the LPM tests use it as the reference. [`PrefixTable`] is
+//! prefix → origin-ASN routing over the compact [`LpmTrie`] with a reverse
+//! index.
 
 use crate::lpm::LpmTrie;
 use crate::prefix::Prefix;
 use crate::topology::Asn;
 use std::collections::BTreeMap;
 use std::net::IpAddr;
-use std::sync::OnceLock;
 
 #[derive(Debug)]
 struct TrieNode<T> {
@@ -120,71 +120,24 @@ impl<T: Copy> PrefixMap<T> {
     }
 }
 
-/// The forward-lookup engine behind a [`PrefixTable`]: the compact
-/// arena-backed trie by default, or the boxed-node [`PrefixMap`] kept as a
-/// differential oracle (`BCD_LPM=map`). Both produce identical answers —
-/// the proptests in `tests/proptests.rs` hold them to it.
-#[derive(Debug)]
-enum LpmImpl {
-    Trie(LpmTrie<Asn>),
-    Map(PrefixMap<Asn>),
-}
-
-/// True when `BCD_LPM=map` selects the legacy map oracle (read once; the
-/// choice must not flip between a table's construction and its lookups).
-fn lpm_oracle_from_env() -> bool {
-    static MODE: OnceLock<bool> = OnceLock::new();
-    *MODE.get_or_init(|| std::env::var("BCD_LPM").is_ok_and(|v| v == "map"))
-}
-
 /// A routing table mapping prefixes to originating ASNs with
-/// longest-prefix-match semantics, plus a reverse index from ASN to
-/// announced prefixes.
-#[derive(Debug)]
+/// longest-prefix-match semantics (over the compact [`LpmTrie`]), plus a
+/// reverse index from ASN to announced prefixes.
+#[derive(Debug, Default)]
 pub struct PrefixTable {
-    lpm: LpmImpl,
+    lpm: LpmTrie<Asn>,
     by_asn: BTreeMap<Asn, Vec<Prefix>>,
 }
 
-impl Default for PrefixTable {
-    fn default() -> Self {
-        if lpm_oracle_from_env() {
-            PrefixTable::with_map()
-        } else {
-            PrefixTable::with_trie()
-        }
-    }
-}
-
 impl PrefixTable {
-    /// An empty table (honours `BCD_LPM=map`).
+    /// An empty table.
     pub fn new() -> PrefixTable {
         PrefixTable::default()
     }
 
-    /// An empty table over the compact arena trie, ignoring the env switch
-    /// (differential tests construct both variants explicitly).
-    pub fn with_trie() -> PrefixTable {
-        PrefixTable {
-            lpm: LpmImpl::Trie(LpmTrie::new()),
-            by_asn: BTreeMap::new(),
-        }
-    }
-
-    /// An empty table over the legacy boxed-node map oracle.
-    pub fn with_map() -> PrefixTable {
-        PrefixTable {
-            lpm: LpmImpl::Map(PrefixMap::new()),
-            by_asn: BTreeMap::new(),
-        }
-    }
-
     /// Number of announced prefixes.
     pub fn len(&self) -> usize {
-        match &self.lpm {
-            LpmImpl::Trie(t) => t.len(),
-            LpmImpl::Map(m) => m.len(),
-        }
+        self.lpm.len()
     }
 
     /// True if no prefixes are announced.
@@ -195,11 +148,7 @@ impl PrefixTable {
     /// Announce `prefix` as originated by `asn`. Re-announcing the same
     /// prefix replaces the origin (and updates the reverse index).
     pub fn announce(&mut self, prefix: Prefix, asn: Asn) {
-        let old = match &mut self.lpm {
-            LpmImpl::Trie(t) => t.insert(prefix, asn),
-            LpmImpl::Map(m) => m.insert(prefix, asn),
-        };
-        if let Some(old) = old {
+        if let Some(old) = self.lpm.insert(prefix, asn) {
             if let Some(v) = self.by_asn.get_mut(&old) {
                 v.retain(|p| p != &prefix);
             }
@@ -210,18 +159,12 @@ impl PrefixTable {
     /// Longest-prefix-match lookup: the most specific announced prefix
     /// containing `ip`, with its origin ASN.
     pub fn lookup(&self, ip: IpAddr) -> Option<(Prefix, Asn)> {
-        match &self.lpm {
-            LpmImpl::Trie(t) => t.lookup(ip),
-            LpmImpl::Map(m) => m.lookup(ip),
-        }
+        self.lpm.lookup(ip)
     }
 
     /// The origin ASN for `ip`, if any route covers it.
     pub fn origin(&self, ip: IpAddr) -> Option<Asn> {
-        match &self.lpm {
-            LpmImpl::Trie(t) => t.get(ip),
-            LpmImpl::Map(m) => m.get(ip),
-        }
+        self.lpm.get(ip)
     }
 
     /// All prefixes announced by `asn` (order of announcement).
@@ -334,7 +277,7 @@ mod tests {
     }
 
     #[test]
-    fn trie_and_map_tables_agree() {
+    fn table_matches_prefix_map_reference() {
         let announcements = [
             (p("10.0.0.0/8"), Asn(1)),
             (p("10.1.0.0/16"), Asn(2)),
@@ -345,11 +288,11 @@ mod tests {
             (p("2001:db8:1::/48"), Asn(7)),
             (p("192.0.2.7/32"), Asn(8)),
         ];
-        let mut trie = PrefixTable::with_trie();
-        let mut map = PrefixTable::with_map();
+        let mut table = PrefixTable::new();
+        let mut map = PrefixMap::new();
         for (pre, asn) in announcements {
-            trie.announce(pre, asn);
-            map.announce(pre, asn);
+            table.announce(pre, asn);
+            map.insert(pre, asn);
         }
         for probe in [
             "10.2.3.4",
@@ -362,14 +305,13 @@ mod tests {
             "2600::1",
         ] {
             let a = ip(probe);
-            assert_eq!(trie.lookup(a), map.lookup(a), "lookup({probe})");
-            assert_eq!(trie.origin(a), map.origin(a), "origin({probe})");
+            assert_eq!(table.lookup(a), map.lookup(a), "lookup({probe})");
+            assert_eq!(table.origin(a), map.get(a), "origin({probe})");
         }
-        assert_eq!(trie.len(), map.len());
-        assert_eq!(
-            trie.iter().collect::<Vec<_>>(),
-            map.iter().collect::<Vec<_>>()
-        );
+        assert_eq!(table.len(), map.len());
+        // The re-announcement moved 10.1.2.0/24 to its new origin.
+        assert_eq!(table.prefixes_of(Asn(3)), &[] as &[Prefix]);
+        assert_eq!(table.prefixes_of(Asn(4)), &[p("10.1.2.0/24")]);
     }
 
     #[test]

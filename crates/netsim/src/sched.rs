@@ -106,17 +106,6 @@ pub enum SchedKind {
     Wheel,
 }
 
-impl SchedKind {
-    /// Scheduler selected by the `BCD_SCHED` environment variable
-    /// (`heap` | `wheel`); defaults to the wheel.
-    pub fn from_env() -> SchedKind {
-        match std::env::var("BCD_SCHED").ok().as_deref() {
-            Some(v) if v.eq_ignore_ascii_case("heap") => SchedKind::Heap,
-            _ => SchedKind::Wheel,
-        }
-    }
-}
-
 /// The scheduler contract the engine drives.
 ///
 /// `pop` must return queued events in ascending `(time, seq)` order —
@@ -146,7 +135,8 @@ pub trait EngineSched {
 // ---------------------------------------------------------------------------
 
 /// The classic `BinaryHeap` scheduler: the simplest thing that satisfies
-/// the contract, kept as the differential oracle (`BCD_SCHED=heap`).
+/// the contract, kept as the differential oracle (tests select it with
+/// [`SchedKind::Heap`]).
 #[derive(Default)]
 pub struct HeapSched {
     heap: BinaryHeap<Reverse<QueuedEvent>>,

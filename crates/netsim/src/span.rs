@@ -27,6 +27,7 @@
 //! order, which the merge provably reproduces (see `Merge` below).
 
 use crate::merge::Merge;
+use crate::packet::Packet;
 use crate::time::SimTime;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write;
@@ -149,14 +150,18 @@ pub struct Span {
     pub detail: String,
 }
 
+/// A retained span's value: kind, detail, and the packet a packet-fate
+/// span captured. The packet is boxed so the common packet-less span
+/// stays small: every insert and eviction moves the window's values.
+type SpanBody = (SpanKind, String, Option<Box<Packet>>);
+
 /// A bounded window of [`Span`]s in canonical `(time, trace, step)` order.
 ///
-/// `capacity == 0` records nothing but still counts evictions (mirrors
-/// [`crate::Trace`]).
+/// `capacity == 0` records nothing but still counts evictions.
 #[derive(Debug, Clone, Default)]
 pub struct FlightRecorder {
     capacity: usize,
-    spans: BTreeMap<(SimTime, TraceId, u32), (SpanKind, String)>,
+    spans: BTreeMap<(SimTime, TraceId, u32), SpanBody>,
     /// Next causal step per trace (keeps counting past evictions).
     next_step: HashMap<TraceId, u32>,
     evicted: u64,
@@ -209,6 +214,31 @@ impl FlightRecorder {
 
     /// Record one span. `trace == 0` is ignored (untraced traffic).
     pub fn record(&mut self, time: SimTime, trace: TraceId, kind: SpanKind, detail: String) {
+        self.insert(time, trace, kind, detail, None);
+    }
+
+    /// Record a packet-fate span that captures the packet itself (its
+    /// payload bytes are shared, not copied), so the window doubles as
+    /// the run's packet capture.
+    pub fn record_packet(
+        &mut self,
+        time: SimTime,
+        trace: TraceId,
+        kind: SpanKind,
+        detail: String,
+        packet: &Packet,
+    ) {
+        self.insert(time, trace, kind, detail, Some(packet));
+    }
+
+    fn insert(
+        &mut self,
+        time: SimTime,
+        trace: TraceId,
+        kind: SpanKind,
+        detail: String,
+        packet: Option<&Packet>,
+    ) {
         if trace == 0 {
             return;
         }
@@ -219,7 +249,10 @@ impl FlightRecorder {
             self.evicted += 1;
             return;
         }
-        self.spans.insert((time, trace, step), (kind, detail));
+        self.spans.insert(
+            (time, trace, step),
+            (kind, detail, packet.map(|p| Box::new(p.clone()))),
+        );
         if self.spans.len() > self.capacity {
             self.spans.pop_first();
             self.evicted += 1;
@@ -228,14 +261,17 @@ impl FlightRecorder {
 
     /// Retained spans in canonical order.
     pub fn iter(&self) -> impl Iterator<Item = Span> + '_ {
+        self.spans.iter().map(assemble)
+    }
+
+    /// Retained packet-fate spans (deliver, intercept, drop) in canonical
+    /// order: time, kind and the captured packet. [`crate::pcap`] exports
+    /// these.
+    pub fn packets(&self) -> impl Iterator<Item = (SimTime, SpanKind, &Packet)> + '_ {
         self.spans
             .iter()
-            .map(|(&(time, trace, step), (kind, detail))| Span {
-                time,
-                trace,
-                step,
-                kind: *kind,
-                detail: detail.clone(),
+            .filter_map(|(&(time, _, _), (kind, _, packet))| {
+                Some((time, *kind, packet.as_deref()?))
             })
     }
 
@@ -249,7 +285,15 @@ impl FlightRecorder {
 
     /// Retained spans of one trace, in causal order.
     pub fn trace_spans(&self, id: TraceId) -> Vec<Span> {
-        let mut spans: Vec<Span> = self.iter().filter(|s| s.trace == id).collect();
+        // Filter on the key before assembling: cloning every retained
+        // span's detail per trace made per-trace walks (the Chrome export)
+        // quadratic in allocations.
+        let mut spans: Vec<Span> = self
+            .spans
+            .iter()
+            .filter(|((_, trace, _), _)| *trace == id)
+            .map(assemble)
+            .collect();
         spans.sort_by_key(|s| s.step);
         spans
     }
@@ -294,6 +338,19 @@ impl FlightRecorder {
             );
         }
         out
+    }
+}
+
+/// The public [`Span`] view of one window entry.
+fn assemble(
+    (&(time, trace, step), (kind, detail, _)): (&(SimTime, TraceId, u32), &SpanBody),
+) -> Span {
+    Span {
+        time,
+        trace,
+        step,
+        kind: *kind,
+        detail: detail.clone(),
     }
 }
 

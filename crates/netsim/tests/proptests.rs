@@ -149,28 +149,31 @@ proptest! {
         }
     }
 
-    /// The full `PrefixTable` behaves identically over either engine for
-    /// random announce sequences: lookups, origins, reverse index, iter.
+    /// `PrefixTable` answers like a `PrefixMap` fed the same announce
+    /// sequence (re-announces replace), and its reverse index holds each
+    /// prefix exactly once, under its latest origin.
     #[test]
-    fn prefix_table_engines_agree(
+    fn prefix_table_agrees_with_prefix_map(
         entries in proptest::collection::vec((any_prefix(), 1u32..50), 0..40),
         probes in proptest::collection::vec(any_ip(), 0..40),
     ) {
-        let mut trie = PrefixTable::with_trie();
-        let mut map = PrefixTable::with_map();
+        let mut table = PrefixTable::new();
+        let mut map: PrefixMap<Asn> = PrefixMap::new();
+        let mut latest = std::collections::BTreeMap::new();
         for (p, asn) in &entries {
-            trie.announce(*p, Asn(*asn));
-            map.announce(*p, Asn(*asn));
+            table.announce(*p, Asn(*asn));
+            map.insert(*p, Asn(*asn));
+            latest.insert(*p, Asn(*asn));
         }
-        prop_assert_eq!(trie.len(), map.len());
-        for ip in probes {
-            prop_assert_eq!(trie.lookup(ip), map.lookup(ip), "probe {}", ip);
+        prop_assert_eq!(table.len(), map.len());
+        let members = entries.iter().flat_map(|(p, _)| [p.network(), p.last()]);
+        for ip in probes.into_iter().chain(members) {
+            prop_assert_eq!(table.lookup(ip), map.lookup(ip), "probe {}", ip);
+            prop_assert_eq!(table.origin(ip), map.get(ip), "origin {}", ip);
         }
-        prop_assert_eq!(
-            trie.iter().collect::<Vec<_>>(),
-            map.iter().collect::<Vec<_>>()
-        );
-        prop_assert_eq!(trie.asns().collect::<Vec<_>>(), map.asns().collect::<Vec<_>>());
+        let mut indexed: Vec<(Prefix, Asn)> = table.iter().collect();
+        indexed.sort();
+        prop_assert_eq!(indexed, latest.into_iter().collect::<Vec<_>>());
     }
 
     /// Subprefix enumeration covers the parent exactly.

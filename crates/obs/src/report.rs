@@ -30,8 +30,6 @@ pub mod names {
     /// Drop counter, one per `DropReason` under the `reason` label.
     pub const NET_DROP: &str = "net.drop";
     pub const ENGINE_EVENTS: &str = "engine.events";
-    pub const TRACE_CAPTURED: &str = "trace.captured";
-    pub const TRACE_EVICTED: &str = "trace.evicted";
     /// Causal span flight-recorder counters (`BCD_TRACE`). Stable when the
     /// run is loss-free (traced traffic is shard-partitioned and warmup is
     /// never traced); layout-class when stochastic link faults ran.
@@ -251,19 +249,10 @@ pub fn render_run_report(obs: &RunObservation) -> String {
     let _ = writeln!(s, "\n-- engine totals (layout-dependent) --");
     render_class(&mut s, &obs.aggregate, Det::Layout, "  ");
 
-    // Bounded-window accounting: the packet-capture ring and the causal
-    // span flight recorder. Both eviction counts are shard-invariant by
-    // construction (canonical-order eviction; the invariance suites assert
-    // equality at every `BCD_SHARDS`).
-    let captured = obs.aggregate.counter(names::TRACE_CAPTURED, &[]);
-    let trace_evicted = obs.aggregate.counter(names::TRACE_EVICTED, &[]);
-    if captured + trace_evicted > 0 {
-        let _ = writeln!(s, "\n-- packet-capture window --");
-        let _ = writeln!(
-            s,
-            "  retained {captured} entries, evicted {trace_evicted} (bounded ring)"
-        );
-    }
+    // Bounded-window accounting for the causal span flight recorder. The
+    // eviction count is shard-invariant by construction (canonical-order
+    // eviction; the invariance suites assert equality at every
+    // `BCD_SHARDS`).
     let recorded = obs.aggregate.counter(names::SPAN_RECORDED, &[]);
     if recorded > 0 {
         let _ = writeln!(s, "\n-- causal tracing (flight recorder) --");

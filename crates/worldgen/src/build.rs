@@ -17,9 +17,8 @@ use bcd_dns::{Acl, NodeBlueprint, ResolverConfig, SharedLog, Zone, ZoneMode};
 use bcd_dnswire::Name;
 use bcd_geo::{sample_country, Country, CountryProfile, GeoDb, COUNTRIES};
 use bcd_netsim::{
-    stream_seed, Asn, BorderPolicy, ChaosConfig, ChaosProfile, FaultDomain, FaultSchedule,
-    HostConfig, HostId, LinkProfile, NetworkConfig, Prefix, Runtime, SimDuration, StackPolicy,
-    Topology,
+    stream_seed, Asn, BorderPolicy, FaultDomain, FaultSchedule, HostConfig, HostId, LinkProfile,
+    NetworkConfig, Prefix, Runtime, SimDuration, StackPolicy, Topology,
 };
 use bcd_osmodel::{DnsSoftware, Os};
 use rand::{Rng, SeedableRng};
@@ -106,9 +105,9 @@ pub struct World {
     /// IPv6 target, grouped by origin AS so a target's preferred /64s are
     /// one lookup away.
     pub v6_hitlist: Hitlist,
-    /// Compiled chaos schedule (from `cfg.chaos` and/or the `link_loss`
-    /// alias), armed in every spawned runtime. Compiled once here so all
-    /// shards share the identical schedule.
+    /// Compiled chaos schedule (from `cfg.chaos`), armed in every spawned
+    /// runtime. Compiled once here so all shards share the identical
+    /// schedule.
     pub faults: Option<Arc<FaultSchedule>>,
 }
 
@@ -249,8 +248,6 @@ const FIRST_MEASURED_ASN: u32 = 1_000;
 /// Stream id for the public DNS hosts' identity-draw salts (see
 /// [`ResolverConfig::identity_draw_salt`]).
 const PUBLIC_DNS_SALT_STREAM: u64 = 0x5055_424C_4943_4453;
-/// Stream id for the chaos seed backing the `link_loss` alias.
-const LINK_LOSS_CHAOS_STREAM: u64 = 0x4C4C_4F53_5343_4841;
 
 /// Pairs the topology under construction with one [`NodeBlueprint`] per
 /// host, so host-id order stays authoritative for both.
@@ -335,30 +332,10 @@ pub fn build(cfg: WorldConfig) -> World {
     } else {
         AddressAllocator::new()
     };
-    // The classic `link_loss` knob is routed through the chaos layer (the
-    // LinkProfile loss field samples the engine noise RNG, whose stream is
-    // per-shard — chaos drops are keyed on packet identity instead, so a
-    // lossy run is byte-identical at any shard count). The link profile
-    // itself stays loss-free.
-    let chaos_cfg: Option<ChaosConfig> = match (cfg.chaos.clone(), cfg.link_loss) {
-        (None, l) if l <= 0.0 => None,
-        (None, l) => Some(ChaosConfig::custom(
-            stream_seed(cfg.seed, LINK_LOSS_CHAOS_STREAM),
-            "link-loss",
-            ChaosProfile::loss_only(l),
-        )),
-        (Some(mut c), l) => {
-            if l > 0.0 {
-                c.profile.loss = 1.0 - (1.0 - c.profile.loss) * (1.0 - l);
-            }
-            Some(c)
-        }
-    };
     let mut net = WorldBuilder::new(NetworkConfig {
         seed: cfg.seed.wrapping_add(1),
         core_link: LinkProfile::ideal(),
         intra_link: LinkProfile::instant(),
-        trace_capacity: cfg.trace_capacity,
         max_events: cfg.max_events,
         sched: cfg.sched,
     });
@@ -835,7 +812,7 @@ pub fn build(cfg: WorldConfig) -> World {
     // crash/restart epochs target resolver hosts inside them. The domain
     // is a pure function of the build, so every shard (and every shard
     // *count*) sees one identical schedule.
-    let faults = chaos_cfg.map(|c| {
+    let faults = cfg.chaos.as_ref().map(|c| {
         let measured: std::collections::HashSet<u32> = measured_asns.iter().map(|a| a.0).collect();
         let crash_hosts: Vec<HostId> = blueprints
             .iter()
@@ -846,7 +823,7 @@ pub fn build(cfg: WorldConfig) -> World {
             .map(|(id, _)| id)
             .collect();
         Arc::new(FaultSchedule::compile(
-            &c,
+            c,
             &FaultDomain {
                 asns: measured_asns.clone(),
                 crash_hosts,

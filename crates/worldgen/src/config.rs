@@ -112,20 +112,12 @@ pub struct WorldConfig {
     /// Event-scheduler implementation for every engine spawned over this
     /// world (heap oracle vs timing wheel; observationally identical).
     pub sched: bcd_netsim::SchedKind,
-    /// Random loss probability on inter-AS links (fault injection; the
-    /// methodology must stay sound under loss — resolvers retransmit and
-    /// the analyses only ever under-count). This knob is a thin alias for
-    /// ambient chaos loss: `build` folds it into the compiled
-    /// [`bcd_netsim::FaultSchedule`], so lossy runs are deterministic
-    /// across shard layouts.
-    pub link_loss: f64,
     /// Seeded fault injection: compile a [`bcd_netsim::FaultSchedule`]
-    /// from this profile and arm it in every spawned runtime.
+    /// from this profile and arm it in every spawned runtime. Faults are
+    /// keyed on packet identity, so lossy runs stay deterministic across
+    /// shard layouts (plain link loss is
+    /// [`bcd_netsim::ChaosProfile::loss_only`]).
     pub chaos: Option<bcd_netsim::ChaosConfig>,
-    /// Capture packets into an in-memory trace with this capacity (for
-    /// pcap export / debugging). Off by default — a full survey moves tens
-    /// of millions of packets.
-    pub trace_capacity: Option<usize>,
 }
 
 impl WorldConfig {
@@ -161,10 +153,8 @@ impl WorldConfig {
             address_density: 1.0,
             materialize_ditl: true,
             max_events: 500_000_000,
-            sched: bcd_netsim::SchedKind::from_env(),
-            link_loss: 0.0,
+            sched: bcd_netsim::SchedKind::default(),
             chaos: None,
-            trace_capacity: None,
         }
     }
 

@@ -6,21 +6,26 @@
 use behind_closed_doors::core::analysis::reachability::Reachability;
 use behind_closed_doors::core::invariants::InvariantChecker;
 use behind_closed_doors::core::{Experiment, ExperimentConfig};
-use behind_closed_doors::netsim::DropReason;
+use behind_closed_doors::netsim::{ChaosConfig, ChaosProfile, DropReason};
+
+/// Ambient loss at rate `loss` on every inter-AS traversal, as a seeded
+/// chaos profile (`None` when loss-free).
+fn ambient_loss(seed: u64, loss: f64) -> Option<ChaosConfig> {
+    (loss > 0.0).then(|| ChaosConfig::custom(seed, "link-loss", ChaosProfile::loss_only(loss)))
+}
 
 #[test]
 fn survey_is_sound_under_packet_loss() {
     let mut cfg = ExperimentConfig::tiny(201);
-    cfg.world.link_loss = 0.05; // 5% loss on every inter-AS traversal
+    cfg.world.chaos = ambient_loss(201, 0.05);
     let data = Experiment::run(cfg);
 
-    // The `link_loss` knob is a thin alias over the seeded fault
-    // schedule: the compiled schedule must exist and carry ambient loss.
+    // The compiled fault schedule must exist and carry ambient loss.
     let faults = data
         .world
         .faults
         .as_ref()
-        .expect("link_loss compiles a FaultSchedule");
+        .expect("a chaos profile compiles a FaultSchedule");
     assert_eq!(faults.profile_name(), "link-loss");
     assert_eq!(faults.event_counts().get("ambient-loss"), Some(&1));
 
@@ -43,7 +48,7 @@ fn survey_is_sound_under_packet_loss() {
 fn loss_only_shrinks_results_never_grows_them() {
     let run = |loss: f64| {
         let mut cfg = ExperimentConfig::tiny(202);
-        cfg.world.link_loss = loss;
+        cfg.world.chaos = ambient_loss(202, loss);
         Experiment::run(cfg)
     };
     let count = |data: &behind_closed_doors::core::ExperimentData| {
@@ -60,8 +65,8 @@ fn loss_only_shrinks_results_never_grows_them() {
     assert!(addrs_lossy <= addrs_clean, "{addrs_lossy} vs {addrs_clean}");
     assert!(asns_lossy <= asns_clean, "{asns_lossy} vs {asns_clean}");
     // 30% loss must actually bite somewhere (follow-up completeness etc.),
-    // and every lost packet is attributed to the chaos layer the alias
-    // routes through — never the legacy link-loss reason.
+    // and every lost packet is attributed to the chaos layer — never the
+    // legacy link-loss reason.
     assert!(addrs_lossy < addrs_clean, "loss had no observable effect");
     assert!(
         lossy.counters.dropped(DropReason::ChaosLoss) > 0,
@@ -117,16 +122,16 @@ fn facade_reexports_are_usable() {
 fn survey_trace_exports_as_valid_pcap() {
     use behind_closed_doors::core::{Experiment, ExperimentConfig};
     use behind_closed_doors::netsim::pcap;
+    use behind_closed_doors::obs::{ObsEnv, TraceConfig};
 
     let mut cfg = ExperimentConfig::tiny(401);
     cfg.world.n_as = 10;
     cfg.world.target_scale = 0.02;
-    cfg.world.trace_capacity = Some(50_000);
-    let data = Experiment::run(cfg);
-    let trace = data.trace.as_ref().expect("trace enabled");
-    assert!(!trace.is_empty());
+    let data = Experiment::run_observed(cfg, &ObsEnv::with_trace(TraceConfig::default()));
+    let flight = data.flight.as_ref().expect("tracing armed");
+    assert!(flight.packets().next().is_some(), "no packets captured");
 
-    let bytes = pcap::pcap_bytes(trace, true);
+    let bytes = pcap::pcap_bytes(flight, true);
     // Magic + linktype are in place and records parse to exactly the
     // buffer's end.
     assert_eq!(&bytes[0..4], &0xa1b2_c3d4u32.to_le_bytes());
