@@ -24,8 +24,8 @@ use bcd_dns::{
 };
 use bcd_dnswire::{Message, Name, RCode, RData, RType, Record};
 use bcd_netsim::{
-    Asn, BorderPolicy, HostConfig, LinkProfile, Network, NetworkConfig, Node, NodeCtx, Packet,
-    SimDuration, StackPolicy,
+    Asn, BorderPolicy, HostConfig, Network, NetworkConfig, Node, NodeCtx, Packet, SimDuration,
+    StackPolicy,
 };
 use bcd_osmodel::{Os, PortAllocator};
 use rand::Rng;
@@ -141,13 +141,7 @@ pub fn run_poisoning_attack(cfg: PoisonConfig) -> PoisonOutcome {
         seed: cfg.seed,
         // The attacker wins the race against a wide-area authority: forged
         // packets arrive while the genuine answer is still in flight.
-        core_link: LinkProfile {
-            base_delay: bcd_netsim::SimDuration::from_millis(40),
-            jitter: bcd_netsim::SimDuration::ZERO,
-            loss: 0.0,
-            duplicate: 0.0,
-        },
-        intra_link: LinkProfile::instant(),
+        core_delay: SimDuration::from_millis(40),
         ..Default::default()
     });
     // Victim AS (no DSAV — the paper's precondition), authority AS, and the

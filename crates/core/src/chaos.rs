@@ -26,8 +26,8 @@
 use crate::analysis::openclosed::OpenClosedReport;
 use crate::analysis::reachability::Reachability;
 use crate::experiment::{Experiment, ExperimentConfig, ExperimentData};
-use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::invariants::{InvariantChecker, InvariantReport};
+use bcd_netsim::hash::{fnv1a, FNV_OFFSET};
 use bcd_netsim::{stream_seed, ChaosConfig, ChaosSpec};
 use bcd_obs::{ObsEnv, TraceConfig};
 use std::collections::BTreeMap;

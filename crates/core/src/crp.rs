@@ -21,8 +21,8 @@
 //!   ([`crate::sources::SourcePlan::build_deterministic`]), so both methods
 //!   probe byte-identical `(src, dst)` pairs and the CRP pass is itself
 //!   byte-identical across any `BCD_SHARDS` × scheduler layout.
-//! * **Separate pass** — the CRP scan is one [`Pass`] value run through
-//!   the same [`run_pass`] as method A, on its own engine runtimes over the
+//! * **Separate pass** — the CRP scan is one `Pass` value run through
+//!   the same `run_pass` as method A, on its own engine runtimes over the
 //!   same shared [`World`](bcd_worldgen::World) and [`TargetSet`]: the
 //!   scanner walks its schedule without tailing the log (no follow-ups, no
 //!   human noise). Nothing leaks between methods: method A's caches, logs,
@@ -49,9 +49,6 @@ use std::time::Instant;
 /// derivation). Distinct from the experiment's noise stream so the two
 /// methods' wire identities are independent.
 const CRP_NOISE_STREAM: u64 = 0x4352_505F_4E4F_4953; // "CRP_NOIS"
-
-/// RNG stream base for per-shard engine noise in the CRP pass.
-const CRP_SHARD_NOISE_STREAM: u64 = 0x4352_5053_4844_0000; // "CRPSHD"
 
 /// The source categories the inbound-SAV method probes: sources an AS
 /// border *should* reject on ingress because they claim to originate
@@ -136,7 +133,6 @@ pub fn run_dual(cfg: ExperimentConfig, env: &ObsEnv) -> DualRun {
         category_filter: Some(&CRP_CATEGORIES),
         keyword: crp_keyword(&a.cfg.keyword),
         noise_stream: CRP_NOISE_STREAM,
-        shard_noise_stream: CRP_SHARD_NOISE_STREAM,
         tails_log: false,
     };
     let PassOutcome {

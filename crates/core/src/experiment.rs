@@ -178,9 +178,6 @@ pub struct Experiment;
 /// RNG stream id for the human-noise salt (shared by every shard).
 pub(crate) const NOISE_SALT_STREAM: u64 = 0x4855_4D41_4E5F_4E53; // "HUMAN_NS"
 
-/// RNG stream base for per-shard engine (link-fault) noise.
-const SHARD_NOISE_STREAM: u64 = 0x5348_4152_4400_0000; // "SHARD"
-
 /// RNG stream id for the schedule's per-target hash salt (plans, phases,
 /// sampling — shared by every shard and, crucially, by *both* measurement
 /// methods: the CRP pass ([`crate::crp`]) derives its source plans from the
@@ -282,7 +279,6 @@ impl Experiment {
             category_filter: cfg.category_filter.as_deref(),
             keyword: cfg.keyword.clone(),
             noise_stream: NOISE_SALT_STREAM,
-            shard_noise_stream: SHARD_NOISE_STREAM,
             tails_log: true,
         };
         let PassOutcome {
@@ -295,9 +291,9 @@ impl Experiment {
 
         // Deterministic aggregate from the *merged* artifacts; the fold of
         // the per-shard layout slices fills in whatever the stable side
-        // does not claim. Drops are only deterministic when no stochastic
-        // link faults ran (see `observe::stable_aggregate`).
-        let loss_free = cfg.world.chaos.is_none();
+        // does not claim. Drops are only deterministic when no chaos fault
+        // schedule is armed (see `observe::stable_aggregate`).
+        let fault_free = cfg.world.chaos.is_none();
         let mut aggregate = observe::stable_aggregate(
             &merged.entries,
             &merged.scanner_stats,
@@ -305,7 +301,7 @@ impl Experiment {
             &merged.dns,
             &world,
             &targets,
-            loss_free.then_some(&merged.counters),
+            fault_free.then_some(&merged.counters),
         );
         // Schedule-construction accounting: probe totals and lane geometry
         // are pure functions of (seed, population, rate) — fully stable.
@@ -331,9 +327,9 @@ impl Experiment {
         // Causal-span counters are shard-invariant (canonical-order
         // eviction; warmup is never traced) — but span *details* include
         // fault fates, so they only enter the deterministic surface when no
-        // stochastic link faults ran.
+        // chaos fault schedule is armed.
         if let Some(f) = &merged.flight {
-            let det = if loss_free { Det::Stable } else { Det::Layout };
+            let det = if fault_free { Det::Stable } else { Det::Layout };
             aggregate.add_counter(names::SPAN_RECORDED, &[], det, f.recorded());
             aggregate.add_counter(names::SPAN_RETAINED, &[], det, f.len() as u64);
             aggregate.add_counter(names::SPAN_EVICTED, &[], det, f.evicted());
@@ -417,8 +413,6 @@ pub(crate) struct Pass<'a> {
     pub keyword: String,
     /// RNG stream of the scanner's salt (packet identity, human noise).
     pub noise_stream: u64,
-    /// RNG stream base of the per-shard engine noise.
-    pub shard_noise_stream: u64,
     /// Whether the scanner tails the authoritative log — follow-up
     /// batteries and §3.6.3 human noise — or only walks its schedule.
     pub tails_log: bool,
@@ -646,13 +640,6 @@ fn run_shard(
         },
         Box::new(Scanner::new(scanner_cfg)),
     );
-    // Per-shard stream for the engine's link-fault noise; host streams stay
-    // seed-derived (see `bcd_netsim::stream_seed`), which is what keeps
-    // per-target behaviour shard-invariant.
-    wrt.net.reseed_noise(stream_seed(
-        cfg.world.seed,
-        pass.shard_noise_stream ^ shard_id as u64,
-    ));
     // Arm the causal flight recorder after spawn so warmup resolver traffic
     // (which repeats in every shard) can never be sampled into it.
     if let Some(t) = &env.trace {

@@ -7,30 +7,11 @@
 //! position. That is what keeps the schedule and every packet observable
 //! byte-identical across `BCD_SHARDS`, `BCD_WORKERS` and the event scheduler.
 //!
-//! FNV-1a: tiny state, stable across platforms, and good enough spread
-//! for bucketing/phases (we never need cryptographic strength here — the
-//! adversary is nondeterminism, not an attacker).
+//! The FNV-1a primitives live in [`bcd_netsim::hash`], the workspace's one
+//! copy; this module adds the survey's salted, domain-separated draw.
 
+use bcd_netsim::hash::{fnv1a, fnv1a_addr, FNV_OFFSET};
 use std::net::IpAddr;
-
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Fold `bytes` into the running FNV-1a state `h`.
-pub(crate) fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
-
-/// Fold an address's canonical octets (4 or 16 bytes) into `h`.
-pub(crate) fn fnv1a_addr(h: &mut u64, addr: IpAddr) {
-    match addr {
-        IpAddr::V4(a) => fnv1a(h, &a.octets()),
-        IpAddr::V6(a) => fnv1a(h, &a.octets()),
-    }
-}
 
 /// A salted, domain-separated 64-bit draw from an address. `salt` is a
 /// seed-derived stream (see `bcd_netsim::stream_seed`); `domain` separates

@@ -17,7 +17,7 @@
 //!     spoofed probe that arrives is *proof* the border did not validate,
 //!     so faults must never flip it.
 //!   * `conservation` — engine accounting balances: every packet handed to
-//!     the network is delivered, dropped for exactly one [`DropReason`],
+//!     the network is delivered, dropped for exactly one [`bcd_netsim::DropReason`],
 //!     or still in flight when the horizon ends. [`InvariantChecker::check_crp`]
 //!     applies the same balance to the inbound CRP pass
 //!     (`crp-conservation`).

@@ -16,13 +16,18 @@ use bcd_dns::{
 use bcd_dnswire::{Name, RType};
 use bcd_netsim::node::SinkNode;
 use bcd_netsim::{
-    Asn, BorderPolicy, HostConfig, LinkProfile, Network, NetworkConfig, Node, NodeCtx, Packet,
-    Prefix, SimDuration, StackPolicy,
+    Asn, BorderPolicy, HostConfig, Network, NetworkConfig, Node, NodeCtx, Packet, Prefix,
+    SimDuration, StackPolicy,
 };
 use bcd_osmodel::{DnsSoftware, Os};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::net::IpAddr;
+
+/// One-way delay of every inter-AS lab link, the same as the engine's fixed
+/// intra-AS delay: latency is irrelevant to the lab harnesses (queries
+/// still get strictly ordered by event sequence).
+const LAB_DELAY: SimDuration = SimDuration::from_micros(50);
 
 /// Result of one Table 5 lab run.
 #[derive(Debug, Clone)]
@@ -69,8 +74,7 @@ pub fn measure_ports(software: DnsSoftware, os: Os, n_queries: usize, seed: u64)
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut net = Network::new(NetworkConfig {
         seed,
-        core_link: LinkProfile::instant(),
-        intra_link: LinkProfile::instant(),
+        core_delay: LAB_DELAY,
         ..Default::default()
     });
     net.add_simple_as(Asn(1), BorderPolicy::open());
@@ -248,8 +252,7 @@ pub fn table6() -> Vec<StackRow> {
         .map(|&os| {
             let mut net = Network::new(NetworkConfig {
                 seed: 7,
-                core_link: LinkProfile::instant(),
-                intra_link: LinkProfile::instant(),
+                core_delay: LAB_DELAY,
                 ..Default::default()
             });
             net.add_simple_as(Asn(1), BorderPolicy::open());

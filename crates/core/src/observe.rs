@@ -140,11 +140,11 @@ pub const LOG_HOUR_BOUNDS: [u64; 8] = [1, 2, 3, 4, 6, 8, 12, 24];
 /// The deterministic aggregate, built from **merged** run artifacts only.
 ///
 /// `probe_drops` is the merged engine drop breakdown, passed only for a
-/// *loss-free* run (no chaos profile armed): with no stochastic faults,
-/// every drop traces to shard-partitioned probe traffic (DSAV filtering
-/// and friends) and the merged breakdown is shard-count-invariant. With
-/// loss enabled, pass `None` — drops then surface only through the
-/// layout-class shard registries.
+/// *fault-free* run (no chaos fault schedule armed): links are then a
+/// fixed delay, every drop traces to shard-partitioned probe traffic (DSAV
+/// filtering and friends) and the merged breakdown is
+/// shard-count-invariant. With a fault schedule armed, pass `None` — drops
+/// then surface only through the layout-class shard registries.
 pub fn stable_aggregate(
     entries: &[QueryLogEntry],
     scanner: &ScannerStats,

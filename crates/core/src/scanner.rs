@@ -20,12 +20,12 @@
 //! tail, no follow-ups, no human noise. That is the inbound CRP pass
 //! ([`crate::crp`]), whose verdict is read from the log after the run.
 
-use crate::hash::{fnv1a, fnv1a_addr, FNV_OFFSET};
 use crate::qname::{Decoded, QnameCodec, SuffixKind};
 use crate::schedule::{Schedule, ScheduledQuery};
 use crate::targets::TargetSet;
 use bcd_dns::SharedLog;
 use bcd_dnswire::{Message, MessageView, RCode, RType, WireWriter, MAX_NAME_WIRE_LEN};
+use bcd_netsim::hash::{fnv1a, fnv1a_addr, FNV_OFFSET};
 use bcd_netsim::{Node, NodeCtx, Packet, Prefix, SimDuration, SimTime, Topology, Transport};
 use std::collections::{BTreeMap, HashSet};
 use std::net::IpAddr;

@@ -27,11 +27,11 @@
 //! `S = N` (the equivalence suite in `tests/shard_equivalence.rs` locks
 //! this in).
 
-use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::observe::DnsTotals;
 use crate::scanner::ScannerStats;
 use bcd_dns::QueryLogEntry;
 use bcd_dnswire::RCode;
+use bcd_netsim::hash::{fnv1a, FNV_OFFSET};
 use bcd_netsim::{FlightRecorder, Merge, NetCounters, SimTime};
 use bcd_obs::MetricsRegistry;
 use std::net::IpAddr;

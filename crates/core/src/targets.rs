@@ -49,7 +49,7 @@ impl TargetSet {
 
     /// Run the back half of the pipeline (steps 3–5) over an already
     /// deduplicated source list, as produced by the streaming DITL
-    /// generator (`World::ditl_candidates`). Equivalent to [`extract`] on
+    /// generator (`World::ditl_candidates`). Equivalent to [`Self::extract`] on
     /// the materialized trace: the stream dedupes and sorts, so only the
     /// exclusion/attribution steps remain.
     ///

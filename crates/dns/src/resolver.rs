@@ -257,14 +257,10 @@ fn pick_server(addrs: &[IpAddr], servers: &[IpAddr], attempt: u8) -> Option<IpAd
 /// relative to other clients' traffic — so the draws are invariant under
 /// re-interleaving.
 fn identity_rng(salt: u64, p: &Pending) -> rand_chacha::ChaCha8Rng {
+    use bcd_netsim::hash::{fnv1a, FNV_OFFSET};
     use rand::SeedableRng;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = FNV_OFFSET;
+    let mut eat = |bytes: &[u8]| fnv1a(&mut h, bytes);
     eat(p.current_qname.to_string().as_bytes());
     eat(&p.qtype.to_u16().to_le_bytes());
     eat(&[p.attempts, p.tcp.is_some() as u8, p.forwarding as u8]);

@@ -10,8 +10,7 @@ use bcd_dns::{
 };
 use bcd_dnswire::{Name, RCode, RType};
 use bcd_netsim::{
-    Asn, BorderPolicy, HostConfig, LinkProfile, Network, NetworkConfig, Prefix, SimDuration,
-    StackPolicy,
+    Asn, BorderPolicy, HostConfig, Network, NetworkConfig, Prefix, SimDuration, StackPolicy,
 };
 use bcd_osmodel::{DnsSoftware, Os};
 use std::net::IpAddr;
@@ -42,8 +41,6 @@ fn build_world(
 ) -> (Network, SharedLog, usize, usize) {
     let mut net = Network::new(NetworkConfig {
         seed: 42,
-        core_link: LinkProfile::ideal(),
-        intra_link: LinkProfile::instant(),
         ..Default::default()
     });
     // Infrastructure AS (root/TLD/lab servers) and a client AS.

@@ -33,7 +33,10 @@ pub enum DropReason {
     StackDstAsSrc,
     /// Host kernel refused a loopback-source packet (Table 6).
     StackLoopback,
-    /// Random link loss (fault injection).
+    /// Never produced: links are a fixed delay, and every packet loss is a
+    /// [`FaultSchedule`](crate::FaultSchedule) fate (`ChaosLoss`,
+    /// `LinkFlap`, `HostDown`). The variant stays only because the
+    /// benchmark package names it; it goes with that package's next change.
     LinkLoss,
     /// Seeded chaos loss (ambient or burst state, `FaultSchedule`).
     ChaosLoss,
@@ -77,7 +80,7 @@ pub struct NetCounters {
     pub sent: u64,
     /// Packets delivered to a destination node.
     pub delivered: u64,
-    /// Duplicated deliveries from link fault injection.
+    /// Duplicated deliveries drawn by the chaos fault schedule.
     pub duplicated: u64,
     /// Forged packets injected by the off-path spoofed-response adversary
     /// (`FaultSchedule::spoof_response`).
@@ -146,9 +149,9 @@ mod tests {
             delivered: 9,
             ..Default::default()
         };
-        c.drop(DropReason::LinkLoss);
+        c.drop(DropReason::ChaosLoss);
         let s = c.to_string();
         assert!(s.contains("sent=10"));
-        assert!(s.contains("link-loss: 1"));
+        assert!(s.contains("chaos-loss: 1"));
     }
 }

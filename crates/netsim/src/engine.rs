@@ -4,7 +4,7 @@
 //!
 //! * [`Topology`] — the **immutable** world: registered ASes with their
 //!   border policies, announced prefixes (longest-prefix-match routing),
-//!   link profiles, and the static host table (addresses, AS membership,
+//!   link delays, and the static host table (addresses, AS membership,
 //!   stack policy). Built once through a [`TopologyBuilder`], then frozen
 //!   and shared across engines via `Arc` — a sharded survey pays for world
 //!   construction exactly once, and memory stays flat in the shard count
@@ -24,7 +24,8 @@
 //! cares about (§1):
 //!
 //! ```text
-//!  node --send--> [origin AS border: OSAV?] --core link: delay/loss/dup-->
+//!  node --send--> [origin AS border: OSAV?] --core link: fixed delay
+//!       (+ chaos fate: loss/jitter/dup, if a FaultSchedule is armed)-->
 //!       [destination AS border: DSAV? bogon ACLs? middlebox?] -->
 //!       [host stack: dst-as-src / loopback acceptance] --> node
 //! ```
@@ -35,7 +36,7 @@
 
 use crate::counters::{DropReason, NetCounters};
 use crate::faults::{FaultSchedule, LinkFate};
-use crate::link::LinkProfile;
+use crate::hash::{fnv1a, stream_seed, FNV_OFFSET};
 use crate::node::{Effect, HostId, Node, NodeCtx};
 use crate::packet::{Packet, Transport};
 use crate::prefix::{special, Prefix};
@@ -50,15 +51,18 @@ use std::collections::{BTreeMap, HashMap};
 use std::net::IpAddr;
 use std::sync::Arc;
 
+/// One-way delay of an intra-AS traversal (host to host inside one AS).
+const INTRA_DELAY: SimDuration = SimDuration::from_micros(50);
+
 /// Global engine configuration.
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
     /// Seed for all simulation randomness.
     pub seed: u64,
-    /// Link profile for inter-AS (wide-area) traversals.
-    pub core_link: LinkProfile,
-    /// Link profile for intra-AS traversals.
-    pub intra_link: LinkProfile,
+    /// One-way delay of an inter-AS (wide-area) traversal. Links are a
+    /// fixed delay; loss, jitter and duplication come only from an armed
+    /// [`FaultSchedule`] (see [`Runtime::set_faults`]).
+    pub core_delay: SimDuration,
     /// Hard event budget; the run stops (and flags it) when exhausted.
     pub max_events: u64,
     /// Event-scheduler implementation (see [`crate::sched`]). The two are
@@ -70,8 +74,7 @@ impl Default for NetworkConfig {
     fn default() -> NetworkConfig {
         NetworkConfig {
             seed: 0,
-            core_link: LinkProfile::internet(),
-            intra_link: LinkProfile::ideal(),
+            core_delay: SimDuration::from_millis(10),
             max_events: 2_000_000_000,
             sched: SchedKind::default(),
         }
@@ -103,22 +106,6 @@ struct HostState {
     rng: ChaCha8Rng,
 }
 
-/// splitmix64 finalizer — mixes a 64-bit value into an avalanche-quality
-/// hash. Used to derive independent seed streams from one master seed.
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Derive the seed for an independent RNG stream (`stream`) from a master
-/// seed. Distinct streams of the same master are decorrelated by the
-/// splitmix64 avalanche.
-pub fn stream_seed(base: u64, stream: u64) -> u64 {
-    splitmix64(base ^ splitmix64(stream.wrapping_add(0x5EED_CAFE_F00D_D00D)))
-}
-
 /// Deterministic per-(AS, source-subnet) permille bucket for partial
 /// internal SAV (FNV-1a over ASN and subnet bits). Public so ground-truth
 /// oracles (cross-method agreement scoring) can predict exactly which
@@ -126,19 +113,10 @@ pub fn stream_seed(base: u64, stream: u64) -> u64 {
 pub fn subnet_permille(asn: Asn, src: IpAddr) -> u64 {
     let sub = Prefix::subprefix_of(src, if src.is_ipv6() { 64 } else { 24 });
     let (key, _) = sub.key();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in asn.0.to_le_bytes().into_iter().chain(key.to_le_bytes()) {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let mut h = FNV_OFFSET;
+    fnv1a(&mut h, &asn.0.to_le_bytes());
+    fnv1a(&mut h, &key.to_le_bytes());
     h % 1000
-}
-
-fn fnv_str(h: &mut u64, s: &str) {
-    for b in s.bytes() {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
 }
 
 /// The immutable half of a simulated Internet: ASes and their border
@@ -252,23 +230,24 @@ impl Topology {
     /// digest equally across runs and platforms. Tests use this to assert a
     /// shared topology survives concurrent runtimes bit-identical.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        fnv_str(&mut h, &format!("{:?}", self.cfg));
+        let mut h = FNV_OFFSET;
+        fnv1a(&mut h, format!("{:?}", self.cfg).as_bytes());
         for info in self.ases.values() {
-            fnv_str(&mut h, &format!("{info:?}"));
+            fnv1a(&mut h, format!("{info:?}").as_bytes());
         }
         for (prefix, asn) in self.routes.iter() {
-            fnv_str(&mut h, &format!("{prefix}>{asn}"));
+            fnv1a(&mut h, format!("{prefix}>{asn}").as_bytes());
         }
         for id in 0..self.host_count() {
-            fnv_str(
+            fnv1a(
                 &mut h,
-                &format!(
+                format!(
                     "{:?}|{:?}|{:?}",
                     self.host_addrs(id),
                     self.host_asn[id],
                     self.host_stack[id]
-                ),
+                )
+                .as_bytes(),
             );
         }
         h
@@ -401,7 +380,6 @@ pub struct Runtime {
     queue: EventQueue,
     now: SimTime,
     seq: u64,
-    rng: ChaCha8Rng,
     /// Compiled chaos schedule, if fault injection is armed for this run.
     faults: Option<Arc<FaultSchedule>>,
     /// Occurrence counters for shard-local flows: how many packets of the
@@ -445,7 +423,6 @@ impl Runtime {
         );
         let seed = topo.cfg.seed;
         let sched = topo.cfg.sched;
-        let rng = ChaCha8Rng::seed_from_u64(seed);
         let hosts = nodes
             .into_iter()
             .enumerate()
@@ -462,7 +439,6 @@ impl Runtime {
             queue: EventQueue::new(sched),
             now: SimTime::ZERO,
             seq: 0,
-            rng,
             faults: None,
             fault_flows: HashMap::new(),
             down_memo: None,
@@ -566,14 +542,6 @@ impl Runtime {
         if let Some(fr) = self.flight.as_mut() {
             fr.record_packet(self.now, pkt.trace, kind, detail(), pkt);
         }
-    }
-
-    /// Reseed the engine-level noise RNG (link-fault sampling). Hosts keep
-    /// their own streams; this only affects environment randomness, so a
-    /// sharded run can give each shard decorrelated link noise without
-    /// perturbing host behaviour.
-    pub fn reseed_noise(&mut self, seed: u64) {
-        self.rng = ChaCha8Rng::seed_from_u64(seed);
     }
 
     /// Current simulated time.
@@ -682,11 +650,9 @@ impl Runtime {
             return 2;
         }
         // FNV-1a over the ASN pair — stable across platforms.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in a.0.to_le_bytes().into_iter().chain(b.0.to_le_bytes()) {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let mut h = FNV_OFFSET;
+        fnv1a(&mut h, &a.0.to_le_bytes());
+        fnv1a(&mut h, &b.0.to_le_bytes());
         4 + (h % 21) as u8
     }
 
@@ -761,15 +727,12 @@ impl Runtime {
             }
         }
 
-        // Link traversal with fault injection.
-        let profile = if crossing {
-            self.topo.cfg.core_link
+        // Link traversal: a fixed delay. Faults come only from the chaos
+        // schedule below.
+        let delay = if crossing {
+            self.topo.cfg.core_delay
         } else {
-            self.topo.cfg.intra_link
-        };
-        let Some((delay, dup)) = profile.sample(&mut self.rng) else {
-            self.drop_packet(DropReason::LinkLoss, &pkt);
-            return;
+            INTRA_DELAY
         };
 
         // Chaos: seeded fate for inter-AS traversals. The decision is a
@@ -855,22 +818,6 @@ impl Runtime {
             });
         }
 
-        if let Some(dup_delay) = dup {
-            self.counters.duplicated += 1;
-            let seq = self.next_seq();
-            self.queue.push(QueuedEvent {
-                at: self.now + dup_delay,
-                seq,
-                kind: EventKind::Deliver {
-                    // Payload bytes are Arc-shared, so duplicating a
-                    // delivery (like every span capture) is a refcount
-                    // bump, not a deep copy of the DNS message.
-                    pkt: delivered.clone(),
-                    from_asn: origin_asn,
-                    dst_asn,
-                },
-            });
-        }
         if let Some(dup_extra) = chaos_dup {
             self.counters.duplicated += 1;
             let seq = self.next_seq();
@@ -878,6 +825,9 @@ impl Runtime {
                 at: self.now + delay + dup_extra,
                 seq,
                 kind: EventKind::Deliver {
+                    // Payload bytes are Arc-shared, so duplicating a
+                    // delivery (like every span capture) is a refcount
+                    // bump, not a deep copy of the DNS message.
                     pkt: delivered.clone(),
                     from_asn: origin_asn,
                     dst_asn,
@@ -1257,10 +1207,7 @@ mod tests {
     }
 
     fn two_as_net(src_policy: BorderPolicy, dst_policy: BorderPolicy) -> (Network, HostId) {
-        let mut net = Network::new(NetworkConfig {
-            core_link: LinkProfile::ideal(),
-            ..Default::default()
-        });
+        let mut net = Network::new(NetworkConfig::default());
         net.add_simple_as(Asn(100), src_policy);
         net.add_simple_as(Asn(200), dst_policy);
         net.announce(pre("192.0.2.0/24"), Asn(100));
@@ -1519,7 +1466,6 @@ mod tests {
         }
         let mut net = Network::new(NetworkConfig {
             max_events: 100,
-            core_link: LinkProfile::ideal(),
             ..Default::default()
         });
         net.add_simple_as(Asn(1), BorderPolicy::open());
@@ -1621,10 +1567,7 @@ mod tests {
     #[test]
     fn shared_topology_runtimes_match_rebuilt_networks() {
         // Build the same two-AS world as a bare (frozen) topology.
-        let mut b = Topology::builder(NetworkConfig {
-            core_link: LinkProfile::ideal(),
-            ..Default::default()
-        });
+        let mut b = Topology::builder(NetworkConfig::default());
         b.add_simple_as(Asn(100), BorderPolicy::open());
         b.add_simple_as(Asn(200), BorderPolicy::open());
         b.announce(pre("192.0.2.0/24"), Asn(100));

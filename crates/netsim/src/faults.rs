@@ -44,7 +44,7 @@
 //! (`BCD_CHAOS=seed=..,profile=..,events=..`).
 
 use crate::counters::DropReason;
-use crate::engine::{splitmix64, stream_seed};
+use crate::hash::{fnv1a, fnv1a_addr, splitmix64, stream_seed, FNV_OFFSET};
 use crate::node::HostId;
 use crate::packet::{Packet, Transport};
 use crate::time::{SimDuration, SimTime};
@@ -77,20 +77,6 @@ fn unit(h: u64) -> f64 {
 
 fn mix(key: u64, salt: u64) -> u64 {
     splitmix64(key ^ splitmix64(salt))
-}
-
-fn fnv(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-fn fnv_ip(h: &mut u64, ip: IpAddr) {
-    match ip {
-        IpAddr::V4(a) => fnv(h, &a.octets()),
-        IpAddr::V6(a) => fnv(h, &a.octets()),
-    }
 }
 
 /// Gilbert–Elliott-style two-state burst loss over an AS's border.
@@ -782,12 +768,12 @@ impl FaultSchedule {
     /// Packet key for shard-local flows: `(src, dst, send time, occurrence
     /// index among same-flow sends at that instant)`.
     pub fn occurrence_key(&self, src: IpAddr, dst: IpAddr, now: SimTime, occurrence: u32) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        fnv(&mut h, &self.seed.to_le_bytes());
-        fnv_ip(&mut h, src);
-        fnv_ip(&mut h, dst);
-        fnv(&mut h, &(now.as_nanos()).to_le_bytes());
-        fnv(&mut h, &occurrence.to_le_bytes());
+        let mut h = FNV_OFFSET;
+        fnv1a(&mut h, &self.seed.to_le_bytes());
+        fnv1a_addr(&mut h, src);
+        fnv1a_addr(&mut h, dst);
+        fnv1a(&mut h, &(now.as_nanos()).to_le_bytes());
+        fnv1a(&mut h, &occurrence.to_le_bytes());
         h
     }
 
@@ -796,22 +782,22 @@ impl FaultSchedule {
     /// so this is invariant to shard layout even where traffic from many
     /// shards interleaves.
     pub fn content_key(&self, pkt: &Packet, now: SimTime) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        fnv(&mut h, &self.seed.to_le_bytes());
-        fnv_ip(&mut h, pkt.src);
-        fnv_ip(&mut h, pkt.dst);
-        fnv(&mut h, &(now.as_nanos()).to_le_bytes());
+        let mut h = FNV_OFFSET;
+        fnv1a(&mut h, &self.seed.to_le_bytes());
+        fnv1a_addr(&mut h, pkt.src);
+        fnv1a_addr(&mut h, pkt.dst);
+        fnv1a(&mut h, &(now.as_nanos()).to_le_bytes());
         match &pkt.transport {
             Transport::Udp(u) => {
-                fnv(&mut h, &u.src_port.to_le_bytes());
-                fnv(&mut h, &u.dst_port.to_le_bytes());
-                fnv(&mut h, u.payload.as_slice());
+                fnv1a(&mut h, &u.src_port.to_le_bytes());
+                fnv1a(&mut h, &u.dst_port.to_le_bytes());
+                fnv1a(&mut h, u.payload.as_slice());
             }
             Transport::Tcp(t) => {
-                fnv(&mut h, &t.src_port.to_le_bytes());
-                fnv(&mut h, &t.dst_port.to_le_bytes());
-                fnv(&mut h, &t.seq.to_le_bytes());
-                fnv(&mut h, t.payload.as_slice());
+                fnv1a(&mut h, &t.src_port.to_le_bytes());
+                fnv1a(&mut h, &t.dst_port.to_le_bytes());
+                fnv1a(&mut h, &t.seq.to_le_bytes());
+                fnv1a(&mut h, t.payload.as_slice());
             }
         }
         h
@@ -1003,6 +989,81 @@ mod tests {
             .count();
         let rate = dropped as f64 / 20_000.0;
         assert!((rate - 0.2).abs() < 0.02, "loss rate {rate} far from 0.2");
+    }
+
+    #[test]
+    fn link_fate_honours_each_per_packet_knob() {
+        const JITTER_NS: u64 = 20_000_000;
+        const FLOOR_NS: u64 = 1_000_000;
+        let jitter = SimDuration::from_nanos(JITTER_NS);
+        // A duplicated pass's (extra delay, how far the copy trails the
+        // original); `None` for a drop or a single copy.
+        fn dup_trail(f: LinkFate) -> Option<(u64, u64)> {
+            let LinkFate::Pass {
+                extra_delay,
+                duplicate,
+            } = f
+            else {
+                return None;
+            };
+            let extra = extra_delay.as_nanos();
+            Some((extra, duplicate?.as_nanos().checked_sub(extra)?))
+        }
+        // (what is checked, the profile, a predicate every fate must meet)
+        type Case = (&'static str, ChaosProfile, fn(LinkFate) -> bool);
+        let cases: [Case; 4] = [
+            (
+                "total loss drops everything",
+                ChaosProfile::loss_only(1.0),
+                |f| f == LinkFate::Drop(DropReason::ChaosLoss),
+            ),
+            (
+                "extra delay stays within [0, jitter]",
+                ChaosProfile {
+                    jitter,
+                    ..ChaosProfile::calm()
+                },
+                |f| {
+                    matches!(f, LinkFate::Pass { extra_delay, duplicate: None }
+                        if extra_delay.as_nanos() <= JITTER_NS)
+                },
+            ),
+            (
+                "a duplicate trails by >= 1 ns and within the jitter span",
+                ChaosProfile {
+                    jitter,
+                    duplicate: 1.0,
+                    ..ChaosProfile::calm()
+                },
+                |f| dup_trail(f).is_some_and(|(_, t)| (1..=JITTER_NS).contains(&t)),
+            ),
+            (
+                "without jitter a duplicate trails within the 1 ms floor",
+                ChaosProfile {
+                    duplicate: 1.0,
+                    ..ChaosProfile::calm()
+                },
+                |f| dup_trail(f).is_some_and(|(e, t)| e == 0 && (1..=FLOOR_NS).contains(&t)),
+            ),
+        ];
+        let t = SimTime::from_secs(1);
+        for (what, profile, holds) in cases {
+            let s = FaultSchedule::compile(&ChaosConfig::custom(3, what, profile), &domain());
+            let fates: Vec<LinkFate> = (0..2_000)
+                .map(|i| s.link_fate(splitmix64(i), t, Asn(1000), Asn(1001)))
+                .collect();
+            if let Some(bad) = fates.iter().find(|&&f| !holds(f)) {
+                panic!("{what}: violated by {bad:?}");
+            }
+            // The draws spread over their range rather than sitting at one
+            // value (total loss has nothing to spread).
+            let distinct: HashSet<String> = fates.iter().map(|f| format!("{f:?}")).collect();
+            assert!(
+                distinct.len() > 1_000 || fates[0] == LinkFate::Drop(DropReason::ChaosLoss),
+                "{what}: only {} distinct fates",
+                distinct.len()
+            );
+        }
     }
 
     #[test]

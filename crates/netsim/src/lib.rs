@@ -17,8 +17,11 @@
 //!   and bogon (private / loopback source) ingress filtering
 //!   ([`AsInfo`], [`BorderPolicy`]),
 //! * **longest-prefix-match routing** ([`PrefixTable`]),
-//! * **links with fault injection** — delay, jitter, loss, duplication
-//!   ([`LinkProfile`]),
+//! * **links** with a fixed one-way delay: a configurable inter-AS delay
+//!   ([`NetworkConfig`]) and a constant 50 µs intra-AS one,
+//! * **seeded fault injection** — loss, jitter, reordering, duplication,
+//!   burst loss, link flaps, crash epochs and spoofed responses, all pure
+//!   hash draws over shard-invariant packet keys ([`FaultSchedule`]),
 //! * **host network stacks** that accept or drop packets whose source equals
 //!   the destination address ("destination-as-source") or the loopback
 //!   address, per OS ([`StackPolicy`]; the per-OS tables live in
@@ -29,9 +32,10 @@
 //!   capture the packet itself, so the window is also the run's packet
 //!   capture, exported as libpcap by [`pcap`].
 //!
-//! Determinism: all simulation randomness flows from one `u64` seed through a
-//! `ChaCha8Rng`; event ties are broken by a monotone sequence number, so a run
-//! is bit-for-bit reproducible across platforms.
+//! Determinism: all simulation randomness flows from one `u64` seed, through
+//! per-host `ChaCha8Rng` streams ([`stream_seed`]) and hash draws over
+//! canonical bytes ([`hash`]); event ties are broken by a monotone sequence
+//! number, so a run is bit-for-bit reproducible across platforms.
 //!
 //! The design follows the smoltcp idiom from the session's networking guides:
 //! event-driven, no async runtime (the workload is CPU-bound with virtual
@@ -41,7 +45,7 @@
 pub mod counters;
 pub mod engine;
 pub mod faults;
-pub mod link;
+pub mod hash;
 pub mod lpm;
 pub mod merge;
 pub mod node;
@@ -57,14 +61,13 @@ pub mod topology;
 
 pub use counters::{DropReason, NetCounters};
 pub use engine::{
-    splitmix64, stream_seed, subnet_permille, HostConfig, Network, NetworkConfig, Runtime,
-    Topology, TopologyBuilder,
+    subnet_permille, HostConfig, Network, NetworkConfig, Runtime, Topology, TopologyBuilder,
 };
 pub use faults::{
     BurstLoss, ChaosConfig, ChaosProfile, ChaosSpec, CrashRestart, FaultDomain, FaultEvent,
     FaultKind, FaultSchedule, LinkFate, LinkFlap,
 };
-pub use link::LinkProfile;
+pub use hash::{splitmix64, stream_seed};
 pub use lpm::LpmTrie;
 pub use merge::Merge;
 pub use node::{HostId, Node, NodeCtx};

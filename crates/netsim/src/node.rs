@@ -129,7 +129,7 @@ impl<'a> NodeCtx<'a> {
 ///
 /// The `Any` supertrait lets tests and analyses downcast a stored
 /// `Box<dyn Node>` back to its concrete type via
-/// [`crate::Network::node`] / [`crate::Network::node_mut`].
+/// [`crate::Runtime::node`] / [`crate::Runtime::node_mut`].
 pub trait Node: std::any::Any {
     /// A packet addressed to (one of) this host's addresses was delivered.
     fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, pkt: Packet);

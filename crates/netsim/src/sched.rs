@@ -625,7 +625,7 @@ mod tests {
         let mut x = 12345u64;
         let mut now = 0u64;
         for seq in 0..50_000u64 {
-            x = crate::engine::splitmix64(x);
+            x = crate::hash::splitmix64(x);
             let delta = match x % 7 {
                 0 => 0,
                 1 => x % 1_000,

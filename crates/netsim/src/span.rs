@@ -26,6 +26,7 @@
 //! retained set "the newest `capacity` spans" under a shard-free total
 //! order, which the merge provably reproduces (see `Merge` below).
 
+use crate::hash::{fnv1a, FNV_OFFSET};
 use crate::merge::Merge;
 use crate::packet::Packet;
 use crate::time::SimTime;
@@ -40,11 +41,8 @@ pub type TraceId = u64;
 /// QNAME bytes for DNS probes). Pure FNV-1a; remapped away from the
 /// reserved `0`.
 pub fn trace_id(identity: &[u8]) -> TraceId {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in identity {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let mut h = FNV_OFFSET;
+    fnv1a(&mut h, identity);
     if h == 0 {
         1
     } else {

@@ -16,15 +16,16 @@
 //! regression: a same-instant timer flood and a same-instant packet flood,
 //! run under both schedulers, must observe identical fire order and
 //! identical counters — and the packet-conservation identity
-//! `sent + duplicated = delivered + drops + pending` must hold under
-//! link faults on either scheduler.
+//! `sent + duplicated = delivered + drops + pending` must hold under an
+//! armed chaos fault schedule on either scheduler.
 
 use bcd_netsim::{
-    Asn, BorderPolicy, EngineSched, HeapSched, HostConfig, LinkProfile, Network, NetworkConfig,
-    Node, NodeCtx, Packet, Prefix, QueuedEvent, SchedKind, SimDuration, SimTime, StackPolicy,
-    WheelSched,
+    Asn, BorderPolicy, ChaosConfig, ChaosProfile, EngineSched, FaultDomain, FaultSchedule,
+    HeapSched, HostConfig, Network, NetworkConfig, Node, NodeCtx, Packet, Prefix, QueuedEvent,
+    SchedKind, SimDuration, SimTime, StackPolicy, WheelSched,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn timer(at_ns: u64, seq: u64) -> QueuedEvent {
     QueuedEvent {
@@ -230,12 +231,21 @@ impl Node for PortRecorder {
     }
 }
 
-fn flood_net(sched: SchedKind, link: LinkProfile) -> (Network, usize, usize) {
+/// Two ASes and a 500-packet same-instant flood between them, over links
+/// faulted by `faults` (calm: no fault schedule at all).
+fn flood_net(sched: SchedKind, faults: ChaosProfile) -> (Network, usize, usize) {
     let mut net = Network::new(NetworkConfig {
         sched,
-        core_link: link,
         ..Default::default()
     });
+    if !faults.is_calm() {
+        let domain = FaultDomain {
+            asns: vec![Asn(100), Asn(200)],
+            crash_hosts: vec![],
+        };
+        let chaos = ChaosConfig::custom(1, "flood-faults", faults);
+        net.set_faults(Some(Arc::new(FaultSchedule::compile(&chaos, &domain))));
+    }
     net.add_simple_as(Asn(100), BorderPolicy::strict());
     net.add_simple_as(Asn(200), BorderPolicy::strict());
     net.announce("192.0.2.0/24".parse::<Prefix>().unwrap(), Asn(100));
@@ -299,14 +309,14 @@ fn same_instant_timer_flood_fires_in_enqueue_order() {
     assert_eq!(orders[0], orders[1]);
 }
 
-/// 500 packets sent at the same instant over a zero-jitter link all arrive
+/// 500 packets sent at the same instant over an unfaulted link all arrive
 /// in the same tick; arrival order and counters must match across
 /// schedulers byte for byte.
 #[test]
 fn same_instant_packet_flood_is_scheduler_invariant() {
     let mut runs = Vec::new();
     for sched in [SchedKind::Heap, SchedKind::Wheel] {
-        let (mut net, _, sink) = flood_net(sched, LinkProfile::ideal());
+        let (mut net, _, sink) = flood_net(sched, ChaosProfile::calm());
         net.run();
         let ports = net.node::<PortRecorder>(sink).unwrap().ports.clone();
         assert_eq!(ports.len(), 500, "{sched:?}: lost deliveries");
@@ -320,18 +330,19 @@ fn same_instant_packet_flood_is_scheduler_invariant() {
     assert_eq!(runs[0], runs[1]);
 }
 
-/// Packet conservation under link faults, on both schedulers:
+/// Packet conservation under chaos link faults, on both schedulers:
 /// sent + duplicated = delivered + drops + pending.
 #[test]
 fn conservation_holds_under_faults_on_both_schedulers() {
     let mut summaries = Vec::new();
     for sched in [SchedKind::Heap, SchedKind::Wheel] {
-        let link = LinkProfile {
+        let faults = ChaosProfile {
             loss: 0.2,
+            jitter: SimDuration::from_millis(20),
             duplicate: 0.1,
-            ..LinkProfile::internet()
+            ..ChaosProfile::calm()
         };
-        let (mut net, _, _) = flood_net(sched, link);
+        let (mut net, _, _) = flood_net(sched, faults);
         net.run();
         let c = &net.counters;
         assert_eq!(

@@ -31,8 +31,8 @@ pub mod names {
     pub const NET_DROP: &str = "net.drop";
     pub const ENGINE_EVENTS: &str = "engine.events";
     /// Causal span flight-recorder counters (`BCD_TRACE`). Stable when the
-    /// run is loss-free (traced traffic is shard-partitioned and warmup is
-    /// never traced); layout-class when stochastic link faults ran.
+    /// run is fault-free (traced traffic is shard-partitioned and warmup is
+    /// never traced); layout-class when a chaos fault schedule was armed.
     pub const SPAN_RECORDED: &str = "span.recorded";
     pub const SPAN_RETAINED: &str = "span.retained";
     pub const SPAN_EVICTED: &str = "span.evicted";
@@ -177,10 +177,10 @@ fn render_derived(out: &mut String, reg: &MetricsRegistry) {
         "scanner: {probes} spoofed probes, {responses} responses at real addresses ({})",
         pct(responses, probes)
     );
-    // Only the *stable* drop breakdown belongs here: with link-loss noise
-    // enabled the instrumentation registers drops as `Det::Layout` and this
-    // block stays silent rather than leak layout-dependent numbers into the
-    // deterministic report.
+    // Only the *stable* drop breakdown belongs here: with a chaos fault
+    // schedule armed the instrumentation registers drops as `Det::Layout`
+    // and this block stays silent rather than leak layout-dependent numbers
+    // into the deterministic report.
     let stable_drops: Vec<(&[(String, String)], u64)> = reg
         .iter_class(Det::Stable)
         .filter(|(k, _)| k.name == names::NET_DROP)

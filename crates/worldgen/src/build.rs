@@ -17,8 +17,8 @@ use bcd_dns::{Acl, NodeBlueprint, ResolverConfig, SharedLog, Zone, ZoneMode};
 use bcd_dnswire::Name;
 use bcd_geo::{sample_country, Country, CountryProfile, GeoDb, COUNTRIES};
 use bcd_netsim::{
-    stream_seed, Asn, BorderPolicy, FaultDomain, FaultSchedule, HostConfig, HostId, LinkProfile,
-    NetworkConfig, Prefix, Runtime, SimDuration, StackPolicy, Topology,
+    stream_seed, Asn, BorderPolicy, FaultDomain, FaultSchedule, HostConfig, HostId, NetworkConfig,
+    Prefix, Runtime, SimDuration, StackPolicy, Topology,
 };
 use bcd_osmodel::{DnsSoftware, Os};
 use rand::{Rng, SeedableRng};
@@ -334,10 +334,9 @@ pub fn build(cfg: WorldConfig) -> World {
     };
     let mut net = WorldBuilder::new(NetworkConfig {
         seed: cfg.seed.wrapping_add(1),
-        core_link: LinkProfile::ideal(),
-        intra_link: LinkProfile::instant(),
         max_events: cfg.max_events,
         sched: cfg.sched,
+        ..NetworkConfig::default()
     });
     let mut geo = GeoDb::new();
 

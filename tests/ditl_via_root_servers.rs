@@ -12,7 +12,7 @@ use behind_closed_doors::dns::{
 };
 use behind_closed_doors::dnswire::{Name, RType};
 use behind_closed_doors::netsim::{
-    Asn, BorderPolicy, HostConfig, LinkProfile, Network, NetworkConfig, SimDuration, StackPolicy,
+    Asn, BorderPolicy, HostConfig, Network, NetworkConfig, SimDuration, StackPolicy,
 };
 use behind_closed_doors::osmodel::Os;
 use behind_closed_doors::worldgen::ditl;
@@ -22,8 +22,6 @@ use std::net::IpAddr;
 fn warmup_through_real_root_servers_yields_extractable_targets() {
     let mut net = Network::new(NetworkConfig {
         seed: 5,
-        core_link: LinkProfile::ideal(),
-        intra_link: LinkProfile::instant(),
         ..Default::default()
     });
     net.add_simple_as(Asn(1), BorderPolicy::strict()); // infrastructure
