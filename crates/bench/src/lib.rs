@@ -49,7 +49,6 @@ pub fn standard_config() -> ExperimentConfig {
     let mut cfg = ExperimentConfig::paper_shape(seed);
     cfg.world.n_as = env_u64("BCD_NAS", cfg.world.n_as as u64) as usize;
     cfg.world.target_scale = env_f64("BCD_SCALE", cfg.world.target_scale);
-    cfg.shards = bcd_core::shards_from_env().unwrap_or(cfg.shards);
     cfg
 }
 

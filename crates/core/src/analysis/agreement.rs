@@ -26,7 +26,7 @@ use crate::qname::{Decoded, SuffixKind};
 use crate::schedule::keeps_target;
 use crate::sources::{classify_source, SourceCategory, SourcePlan};
 use crate::targets::TargetSet;
-use bcd_netsim::{stream_seed, subnet_permille, Asn, PrefixTable, SimDuration};
+use bcd_netsim::{stream_seed, subnet_permille, Asn, PrefixTable};
 use bcd_worldgen::{AclKind, World};
 use std::collections::BTreeSet;
 
@@ -45,18 +45,14 @@ pub fn internal_open_asns(reach: &Reachability) -> BTreeSet<Asn> {
 /// method A's rules: `Main`-suffix full decodes only, the same lifetime
 /// threshold, internal categories only (the CRP schedule sends nothing
 /// else, but the filter keeps the verdict self-contained).
-pub fn crp_open_asns(
-    b: &CrpData,
-    routes: &PrefixTable,
-    lifetime_threshold: SimDuration,
-) -> BTreeSet<Asn> {
+pub fn crp_open_asns(b: &CrpData, routes: &PrefixTable) -> BTreeSet<Asn> {
     let mut open = BTreeSet::new();
     for entry in &b.entries {
         if let Decoded::Full(tag) = b.codec.decode(&entry.qname) {
             if tag.suffix != SuffixKind::Main {
                 continue;
             }
-            if entry.time.saturating_since(tag.ts) > lifetime_threshold {
+            if entry.time.saturating_since(tag.ts) > super::LIFETIME_THRESHOLD {
                 continue;
             }
             match classify_source(tag.src, tag.dst, routes) {
@@ -126,7 +122,7 @@ pub fn expected_open(
         let interceptor = info.dns_interceptor.is_some();
         let v6 = t.addr.is_ipv6();
         let meta = world.meta_of(t.addr);
-        let plan = SourcePlan::build_deterministic(t.addr, routes, &world.v6_hitlist, salt);
+        let plan = SourcePlan::build(t.addr, routes, &world.v6_hitlist, salt);
         for (cat, src) in &plan.sources {
             if !CRP_CATEGORIES.contains(cat) {
                 continue;
@@ -258,7 +254,7 @@ impl AgreementMatrix {
         let reach = Reachability::compute(&a.input());
         let a_open = internal_open_asns(&reach);
         let routes = a.world.topo.routes();
-        let b_open = crp_open_asns(b, routes, a.cfg.lifetime_threshold);
+        let b_open = crp_open_asns(b, routes);
         let salt = stream_seed(a.cfg.world.seed, crate::experiment::SCHEDULE_SALT_STREAM);
         let universe = universe_asns(&a.targets, salt, a.cfg.target_sample);
         let expected = expected_open(

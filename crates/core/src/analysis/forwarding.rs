@@ -52,7 +52,7 @@ impl ForwardingReport {
             if entry.server.is_ipv6() != (tag.suffix == SuffixKind::F6) {
                 continue;
             }
-            if entry.time.saturating_since(tag.ts) > input.lifetime_threshold {
+            if entry.time.saturating_since(tag.ts) > super::LIFETIME_THRESHOLD {
                 continue;
             }
             let slot = seen.entry(tag.dst).or_insert((false, false));

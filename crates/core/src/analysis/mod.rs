@@ -26,6 +26,10 @@ use bcd_geo::GeoDb;
 use bcd_netsim::{PrefixTable, SimDuration};
 use std::net::IpAddr;
 
+/// Queries older than this when they arrive are attributed to human
+/// intervention and excluded (§3.6.3's 10-second rule).
+pub const LIFETIME_THRESHOLD: SimDuration = SimDuration::from_secs(10);
+
 /// Shared input to all analyses.
 pub struct AnalysisInput<'a> {
     /// Snapshot of the experiment estate's query log.
@@ -40,9 +44,6 @@ pub struct AnalysisInput<'a> {
     pub scanner_v6: IpAddr,
     /// Known public DNS service addresses (middlebox attribution, §3.6.1).
     pub public_dns: &'a [IpAddr],
-    /// Queries older than this when they arrive are attributed to human
-    /// intervention and excluded (§3.6.3's 10-second rule).
-    pub lifetime_threshold: SimDuration,
 }
 
 impl<'a> AnalysisInput<'a> {

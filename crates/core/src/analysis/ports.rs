@@ -146,7 +146,7 @@ impl PortReport {
             if entry.src != tag.dst {
                 continue; // §5.2: direct resolvers only
             }
-            if entry.time.saturating_since(tag.ts) > input.lifetime_threshold {
+            if entry.time.saturating_since(tag.ts) > super::LIFETIME_THRESHOLD {
                 continue;
             }
             match (tag.suffix, entry.proto) {

@@ -80,7 +80,7 @@ impl Reachability {
                         continue;
                     }
                     let lifetime = entry.time.saturating_since(tag.ts);
-                    if lifetime > input.lifetime_threshold {
+                    if lifetime > super::LIFETIME_THRESHOLD {
                         r.lifetime.late_entries += 1;
                         r.late_only.entry(tag.dst).or_insert(Asn(tag.asn));
                         continue;

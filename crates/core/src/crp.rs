@@ -18,7 +18,7 @@
 //!   schedule machinery with the *same* seed-derived schedule salt, filtered
 //!   to the internal source categories ([`CRP_CATEGORIES`]). Per-target
 //!   source plans are hashes of the canonical target bytes
-//!   ([`crate::sources::SourcePlan::build_deterministic`]), so both methods
+//!   ([`crate::sources::SourcePlan::build`]), so both methods
 //!   probe byte-identical `(src, dst)` pairs and the CRP pass is itself
 //!   byte-identical across any `BCD_SHARDS` × scheduler layout.
 //! * **Separate pass** — the CRP scan is one `Pass` value run through

@@ -24,7 +24,20 @@ use std::net::IpAddr;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Experiment parameters (§3.4–§3.5 knobs).
+/// Global probe rate cap (§3.4: the paper's administrative 700 qps).
+pub const RATE: u32 = 700;
+
+/// Authoritative-log poll interval (§3.5's "real-time" follow-up latency).
+pub const POLL_INTERVAL: SimDuration = SimDuration::from_secs(60);
+
+/// Extra simulation time after the last scheduled probe, to let §3.5
+/// follow-ups, retries and §3.6.3 human-noise queries drain.
+pub const DRAIN: SimDuration = SimDuration::from_hours(4);
+
+/// Experiment parameters (§3.4–§3.5 knobs). The method's fixed numbers
+/// are constants: [`RATE`], [`POLL_INTERVAL`], [`DRAIN`],
+/// [`crate::scanner::FOLLOWUPS_PER_FAMILY`] and
+/// [`crate::analysis::LIFETIME_THRESHOLD`].
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
     pub world: WorldConfig,
@@ -33,19 +46,8 @@ pub struct ExperimentConfig {
     /// are time-scale-free except the lifetime filter, which keeps its
     /// absolute 10 s threshold.
     pub window: SimDuration,
-    /// Global probe rate cap (the paper's administrative 700 qps).
-    pub rate: u32,
-    /// Authoritative-log poll interval (real-time follow-up latency).
-    pub poll_interval: SimDuration,
-    /// Follow-up queries per family (the paper's 10).
-    pub followups_per_family: usize,
-    /// §3.6.3 lifetime threshold.
-    pub lifetime_threshold: SimDuration,
     /// Experiment keyword (the `kw` label).
     pub keyword: String,
-    /// Extra simulation time after the last scheduled probe, to let
-    /// follow-ups, retries, and human-noise queries drain.
-    pub drain: SimDuration,
     /// §3.8 opt-outs honoured mid-campaign: `(when received, prefix)`.
     pub opt_outs: Vec<(SimTime, bcd_netsim::Prefix)>,
     /// §3.4 interruptions: `(start, duration)` windows with no probing.
@@ -90,18 +92,13 @@ impl ExperimentConfig {
         ExperimentConfig {
             world: WorldConfig::paper_shape(seed),
             window: SimDuration::from_hours(2),
-            rate: 700,
-            poll_interval: SimDuration::from_secs(60),
-            followups_per_family: 10,
-            lifetime_threshold: SimDuration::from_secs(10),
             keyword: "x7".into(),
-            drain: SimDuration::from_hours(4),
             opt_outs: Vec::new(),
             outages: Vec::new(),
             category_filter: None,
             wildcard_zone: false,
-            shards: shard::shards_from_env().unwrap_or(1),
-            workers: shard::workers_from_env().unwrap_or(0),
+            shards: shard::count_from_env("BCD_SHARDS").unwrap_or(1),
+            workers: shard::count_from_env("BCD_WORKERS").unwrap_or(0),
             target_sample: None,
             schedule_mode: ScheduleMode::default(),
         }
@@ -167,7 +164,6 @@ impl ExperimentData {
             scanner_v4: self.world.scanner.v4,
             scanner_v6: self.world.scanner.v6,
             public_dns: &self.public_dns,
-            lifetime_threshold: self.cfg.lifetime_threshold,
         }
     }
 }
@@ -325,9 +321,9 @@ impl Experiment {
             sched_end.as_secs(),
         );
         // Causal-span counters are shard-invariant (canonical-order
-        // eviction; warmup is never traced) — but span *details* include
-        // fault fates, so they only enter the deterministic surface when no
-        // chaos fault schedule is armed.
+        // eviction; only probe-caused traffic is traced) — but span
+        // *details* include fault fates, so they only enter the
+        // deterministic surface when no chaos fault schedule is armed.
         if let Some(f) = &merged.flight {
             let det = if fault_free { Det::Stable } else { Det::Layout };
             aggregate.add_counter(names::SPAN_RECORDED, &[], det, f.recorded());
@@ -461,12 +457,12 @@ pub(crate) fn run_pass(
         world.topo.routes(),
         &world.v6_hitlist,
         filter,
-        schedule::lane_count(cfg.rate),
+        schedule::lane_count(RATE),
         sched_salt,
         cfg.target_sample,
     );
     let layout = LaneLayout::new(
-        cfg.rate,
+        RATE,
         cfg.window,
         census.total,
         sched_salt,
@@ -534,7 +530,7 @@ pub(crate) fn run_pass(
         .outages
         .iter()
         .fold(SimDuration::ZERO, |acc, (_, len)| acc + *len);
-    let run_until = sched_end + outage_total + cfg.drain;
+    let run_until = sched_end + outage_total + DRAIN;
 
     // Shards run on a work-stealing pool: each worker claims the next
     // unstarted shard id from a shared counter, spawns its own runtime
@@ -616,9 +612,8 @@ fn run_shard(
         schedule,
         targets: targets.clone(),
         topo: world.topo.clone(),
-        poll_interval: pass.tails_log.then_some(cfg.poll_interval),
+        poll_interval: pass.tails_log.then_some(POLL_INTERVAL),
         log: wrt.log.clone(),
-        followups_per_family: cfg.followups_per_family,
         lab_v4: world.auth.lab_v4,
         lab_v6: world.auth.lab_v6,
         human_noise,
@@ -640,8 +635,9 @@ fn run_shard(
         },
         Box::new(Scanner::new(scanner_cfg)),
     );
-    // Arm the causal flight recorder after spawn so warmup resolver traffic
-    // (which repeats in every shard) can never be sampled into it.
+    // Arm the causal flight recorder after spawn, so only traffic this
+    // shard's probes cause can be sampled into it: anything a runtime did
+    // on its own would repeat in every shard.
     if let Some(t) = &env.trace {
         wrt.net.arm_flight_sampled(t.capacity, t.sample.clone());
     }

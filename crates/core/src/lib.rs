@@ -63,6 +63,6 @@ pub use qname::{ExperimentTag, QnameCodec, SuffixKind};
 pub use scanner::Scanner;
 pub use schedule::{LaneLayout, Schedule, ScheduleMode, ScheduledQuery};
 pub use selfcheck::{SelfCheck, SelfCheckReport, Verdict};
-pub use shard::{shard_of_asn, shards_from_env};
+pub use shard::shard_of_asn;
 pub use sources::{SourceCategory, SourcePlan};
 pub use targets::{Target, TargetSet};

@@ -18,9 +18,14 @@
 //!   so these sums are shard-count-invariant (locked by
 //!   `tests/obs_invariance.rs`).
 //! * [`Det::Layout`] metrics include anything a shard runtime repeats
-//!   locally — resolver warmup resolutions run in *every* shard's runtime,
-//!   so raw `net.sent` / `engine.events` / `dns.upstream_queries` scale
-//!   with the shard count and stay out of the deterministic surface.
+//!   locally. Every runtime runs the scanner's log-poll timer over the
+//!   whole horizon (so `engine.events` grows with the shard count) and its
+//!   own copy of each public DNS resolver with the preloaded estate zone
+//!   cuts (so `dns.cache_entries.cuts` does too). Raw packet counters and
+//!   resolution-path resolver counters come out equal at 1 and 4 shards on
+//!   a fault-free tiny survey, but the public resolvers they count keep
+//!   per-runtime caches, so they stay out of the deterministic surface
+//!   conservatively.
 
 use crate::scanner::ScannerStats;
 use crate::targets::TargetSet;
@@ -42,12 +47,13 @@ pub struct DnsTotals {
     pub answered: u64,
     pub cache_hits: u64,
     pub cache_misses: u64,
-    // Resolution path (layout-dependent: includes per-runtime warmup).
+    // Resolution path (layout-class: the public resolvers every shard
+    // runtime copies resolve from per-runtime caches).
     pub upstream_queries: u64,
     pub servfail: u64,
     pub tcp_retries: u64,
-    // End-of-run cache sizes (layout-dependent: warmup and preloaded cuts
-    // populate every runtime's caches).
+    // End-of-run cache sizes (layout-dependent: every runtime's public
+    // resolver copies hold the preloaded estate cuts).
     pub cache_answers: u64,
     pub cache_nxdomains: u64,
     pub cache_cuts: u64,

@@ -31,6 +31,10 @@ use std::collections::{BTreeMap, HashSet};
 use std::net::IpAddr;
 use std::sync::Arc;
 
+/// Follow-up queries per address family fired at each newly reached
+/// target (§3.5: 10 IPv4-only and 10 IPv6-only).
+pub const FOLLOWUPS_PER_FAMILY: u64 = 10;
+
 const TOK_WALK: u64 = 0;
 const TOK_POLL: u64 = 1;
 const TOK_HUMAN: u64 = 2;
@@ -80,8 +84,6 @@ pub struct ScannerConfig {
     /// `None` = no log tail and therefore no follow-up batteries.
     pub poll_interval: Option<SimDuration>,
     pub log: SharedLog,
-    /// Follow-up queries per family (the paper's 10).
-    pub followups_per_family: usize,
     /// Lab authoritative server addresses (human-noise queries go straight
     /// here, in the matching family).
     pub lab_v4: IpAddr,
@@ -297,10 +299,9 @@ impl Scanner {
         let now = ctx.now();
         let asn = self.cfg.topo.routes().origin(dst).map_or(0, |a| a.0);
         self.stats.followup_sets += 1;
-        let n = self.cfg.followups_per_family as u64;
         // 10 IPv4-only + 10 IPv6-only, each with a unique timestamp label
         // (nanosecond offsets keep names unique without altering lifetime).
-        for i in 0..n {
+        for i in 0..FOLLOWUPS_PER_FAMILY {
             let name = self.cfg.codec.encode(
                 now + SimDuration::from_nanos(i),
                 src,
@@ -310,7 +311,7 @@ impl Scanner {
             );
             self.send_dns(ctx, src, dst, name);
             let name = self.cfg.codec.encode(
-                now + SimDuration::from_nanos(n + i),
+                now + SimDuration::from_nanos(FOLLOWUPS_PER_FAMILY + i),
                 src,
                 dst,
                 asn,
@@ -326,7 +327,7 @@ impl Scanner {
             self.cfg.v4
         };
         let name = self.cfg.codec.encode(
-            now + SimDuration::from_nanos(2 * n),
+            now + SimDuration::from_nanos(2 * FOLLOWUPS_PER_FAMILY),
             real,
             dst,
             asn,
@@ -336,7 +337,7 @@ impl Scanner {
         self.stats.open_probes += 1;
         // TCP probe: spoofed again, in the TC=1 zone.
         let name = self.cfg.codec.encode(
-            now + SimDuration::from_nanos(2 * n + 1),
+            now + SimDuration::from_nanos(2 * FOLLOWUPS_PER_FAMILY + 1),
             src,
             dst,
             asn,

@@ -523,7 +523,7 @@ fn derive_target(
     layout: &LaneLayout,
     mut emit: impl FnMut(Raw),
 ) {
-    let mut plan = SourcePlan::build_deterministic(addr, routes, hitlist, layout.salt);
+    let mut plan = SourcePlan::build(addr, routes, hitlist, layout.salt);
     if let Some(keep) = filter {
         plan.sources.retain(|(c, _)| keep.contains(c));
     }

@@ -37,23 +37,29 @@ use bcd_obs::MetricsRegistry;
 use std::net::IpAddr;
 use std::time::Duration;
 
-/// Shard count requested via the `BCD_SHARDS` environment variable, if any.
-pub fn shards_from_env() -> Option<usize> {
-    std::env::var("BCD_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&s| s >= 1)
+/// A positive count requested via environment variable `var` (`BCD_SHARDS`,
+/// `BCD_WORKERS`): `None` when it is unset or empty. Any other value that
+/// is not an integer ≥ 1 panics, naming the variable and the value — a
+/// typo such as `BCD_SHARDS=four` in a CI matrix must fail the run, not
+/// quietly run one engine.
+pub(crate) fn count_from_env(var: &str) -> Option<usize> {
+    match std::env::var(var) {
+        Ok(value) => parse_count(var, &value),
+        Err(std::env::VarError::NotPresent) => None,
+        Err(std::env::VarError::NotUnicode(value)) => {
+            panic!("{var}={value:?} is not a positive integer")
+        }
+    }
 }
 
-/// Worker-pool size requested via the `BCD_WORKERS` environment variable,
-/// if any. Workers execute shard partitions by stealing the next unstarted
-/// shard; the count affects wall-clock only, never output bytes (see
-/// [`crate::ExperimentConfig::workers`]).
-pub fn workers_from_env() -> Option<usize> {
-    std::env::var("BCD_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&s| s >= 1)
+fn parse_count(var: &str, value: &str) -> Option<usize> {
+    if value.is_empty() {
+        return None;
+    }
+    match value.parse() {
+        Ok(n) if n >= 1 => Some(n),
+        _ => panic!("{var}={value:?} is not a positive integer"),
+    }
 }
 
 /// The shard an AS belongs to: a stable FNV-1a hash of the ASN, reduced
@@ -278,6 +284,24 @@ pub fn merge_outcomes(outcomes: Vec<ShardOutcome>) -> ShardOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn counts_parse_strictly() {
+        assert_eq!(parse_count("BCD_SHARDS", ""), None);
+        assert_eq!(parse_count("BCD_SHARDS", "1"), Some(1));
+        assert_eq!(parse_count("BCD_WORKERS", "16"), Some(16));
+        for bad in ["0", "four", "-1", "4.0", " 4", "4 "] {
+            let panic = std::panic::catch_unwind(|| parse_count("BCD_SHARDS", bad))
+                .expect_err("a malformed count must panic");
+            let msg = panic
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert!(
+                msg.contains("BCD_SHARDS") && msg.contains(&format!("{bad:?}")),
+                "{msg}"
+            );
+        }
+    }
 
     #[test]
     fn assign_lanes_covers_every_occupied_lane() {

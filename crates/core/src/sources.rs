@@ -15,7 +15,7 @@
 
 use bcd_netsim::{Packet, Prefix, PrefixTable};
 use bcd_worldgen::Hitlist;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
@@ -73,23 +73,21 @@ pub struct SourcePlan {
 }
 
 impl SourcePlan {
-    /// Build the plan for `target` using the announced routes of its AS.
-    /// Equivalent to [`SourcePlan::build_with_hitlist`] with no hitlist.
-    pub fn build(target: IpAddr, routes: &PrefixTable, rng: &mut ChaCha8Rng) -> SourcePlan {
-        SourcePlan::build_with_hitlist(target, routes, &Hitlist::default(), rng)
-    }
-
-    /// Build the plan, preferring IPv6 /64s that appear in `hitlist` — the
-    /// §3.2 heuristic ("we gave preference to /64 prefixes that contained
-    /// IPv6 addresses from an IPv6 hit list — a sign of observed activity
-    /// within that prefix") that avoids blindly probing the sparse v6
-    /// space. The hitlist has no effect on IPv4 targets.
-    pub fn build_with_hitlist(
-        target: IpAddr,
-        routes: &PrefixTable,
-        hitlist: &Hitlist,
-        rng: &mut ChaCha8Rng,
-    ) -> SourcePlan {
+    /// Build the plan for `target` from the announced routes of its AS,
+    /// preferring IPv6 /64s that appear in `hitlist` — the §3.2 heuristic
+    /// ("we gave preference to /64 prefixes that contained IPv6 addresses
+    /// from an IPv6 hit list — a sign of observed activity within that
+    /// prefix") that avoids blindly probing the sparse v6 space. The
+    /// hitlist has no effect on IPv4 targets.
+    ///
+    /// The address draws come from an RNG seeded with a hash of `salt` and
+    /// the canonical target bytes, so the plan depends only on
+    /// `(salt, target, routes, hitlist)` — never on how many *other*
+    /// targets were planned before this one. This is what lets each shard
+    /// derive exactly its own targets' plans and still agree byte-for-byte
+    /// with every other shard layout.
+    pub fn build(target: IpAddr, routes: &PrefixTable, hitlist: &Hitlist, salt: u64) -> SourcePlan {
+        let rng = &mut ChaCha8Rng::seed_from_u64(crate::hash::addr_hash(salt, target, b"plan"));
         let mut sources = Vec::with_capacity(101);
         let v6 = target.is_ipv6();
         let sub_len = if v6 { 64 } else { 24 };
@@ -122,25 +120,7 @@ impl SourcePlan {
         SourcePlan { target, sources }
     }
 
-    /// Build the plan from a seed salt alone: the RNG is seeded from a
-    /// hash of the canonical target bytes, so the plan depends only on
-    /// `(salt, target, routes, hitlist)` — never on how many *other*
-    /// targets were planned before this one. This is what lets each shard
-    /// derive exactly its own targets' plans and still agree byte-for-byte
-    /// with every other shard layout (the PR 8 txid/sport trick applied to
-    /// planning).
-    pub fn build_deterministic(
-        target: IpAddr,
-        routes: &PrefixTable,
-        hitlist: &Hitlist,
-        salt: u64,
-    ) -> SourcePlan {
-        use rand::SeedableRng;
-        let mut rng = ChaCha8Rng::seed_from_u64(crate::hash::addr_hash(salt, target, b"plan"));
-        SourcePlan::build_with_hitlist(target, routes, hitlist, &mut rng)
-    }
-
-    /// The exact length [`SourcePlan::build_with_hitlist`] would produce,
+    /// The exact length [`SourcePlan::build`] would produce,
     /// without drawing any source addresses: the capped other-prefix count
     /// plus the four per-target categories. The census prepass calls this
     /// for every target to size lanes and the window extension before any
@@ -266,11 +246,8 @@ fn pick_in_prefix(prefix: Prefix, rng: &mut ChaCha8Rng, exclude: Option<IpAddr>)
 mod tests {
     use super::*;
     use bcd_netsim::Asn;
-    use rand::SeedableRng;
 
-    fn rng() -> ChaCha8Rng {
-        ChaCha8Rng::seed_from_u64(3)
-    }
+    const SALT: u64 = 3;
 
     fn routes_with(prefixes: &[&str], asn: u32) -> PrefixTable {
         let mut t = PrefixTable::new();
@@ -284,7 +261,7 @@ mod tests {
     fn v4_plan_has_all_categories() {
         let routes = routes_with(&["203.0.112.0/22"], 7); // 4 /24s
         let target: IpAddr = "203.0.112.10".parse().unwrap();
-        let plan = SourcePlan::build(target, &routes, &mut rng());
+        let plan = SourcePlan::build(target, &routes, &Hitlist::default(), SALT);
         let count = |c: SourceCategory| plan.sources.iter().filter(|(k, _)| *k == c).count();
         assert_eq!(count(SourceCategory::OtherPrefix), 3); // 4 /24s minus own
         assert_eq!(count(SourceCategory::SamePrefix), 1);
@@ -316,7 +293,7 @@ mod tests {
         // A /14 has 1024 /24s; the plan must cap at 97.
         let routes = routes_with(&["16.0.0.0/14"], 9);
         let target: IpAddr = "16.0.0.5".parse().unwrap();
-        let plan = SourcePlan::build(target, &routes, &mut rng());
+        let plan = SourcePlan::build(target, &routes, &Hitlist::default(), SALT);
         let other = plan
             .sources
             .iter()
@@ -330,9 +307,8 @@ mod tests {
     fn v4_avoids_network_and_broadcast() {
         let routes = routes_with(&["203.0.112.0/23"], 7);
         let target: IpAddr = "203.0.112.10".parse().unwrap();
-        for seed in 0..50 {
-            let mut r = ChaCha8Rng::seed_from_u64(seed);
-            let plan = SourcePlan::build(target, &routes, &mut r);
+        for salt in 0..50 {
+            let plan = SourcePlan::build(target, &routes, &Hitlist::default(), salt);
             for (_, src) in &plan.sources {
                 if let IpAddr::V4(a) = src {
                     let last = a.octets()[3];
@@ -351,7 +327,7 @@ mod tests {
     fn v6_plan_uses_first_hundred_minus_two() {
         let routes = routes_with(&["2600:9::/48"], 11); // 65536 /64s -> cap 97
         let target: IpAddr = "2600:9:0:5::42".parse().unwrap();
-        let plan = SourcePlan::build(target, &routes, &mut rng());
+        let plan = SourcePlan::build(target, &routes, &Hitlist::default(), SALT);
         let mut other = 0;
         for (cat, src) in &plan.sources {
             match cat {
@@ -375,7 +351,7 @@ mod tests {
     fn unrouted_target_still_gets_non_prefix_categories() {
         let routes = PrefixTable::new();
         let target: IpAddr = "203.0.112.10".parse().unwrap();
-        let plan = SourcePlan::build(target, &routes, &mut rng());
+        let plan = SourcePlan::build(target, &routes, &Hitlist::default(), SALT);
         // No other-prefix sources, but the rest are present.
         assert_eq!(plan.len(), 4);
         assert!(plan
@@ -395,7 +371,7 @@ mod tests {
         for (prefixes, target) in cases {
             let routes = routes_with(prefixes, 7);
             let target: IpAddr = target.parse().unwrap();
-            let plan = SourcePlan::build(target, &routes, &mut rng());
+            let plan = SourcePlan::build(target, &routes, &Hitlist::default(), SALT);
             assert_eq!(
                 SourcePlan::planned_len(target, &routes, &Hitlist::default()),
                 plan.len(),
@@ -417,7 +393,7 @@ mod tests {
             let hitlist = Hitlist::new(hit(ids), &routes);
             for target in ["2600:9:0:5::42", "2600:9:0:105::42"] {
                 let target: IpAddr = target.parse().unwrap();
-                let plan = SourcePlan::build_with_hitlist(target, &routes, &hitlist, &mut rng());
+                let plan = SourcePlan::build(target, &routes, &hitlist, SALT);
                 assert_eq!(
                     SourcePlan::planned_len(target, &routes, &hitlist),
                     plan.len(),
@@ -434,17 +410,17 @@ mod tests {
         // subsets agree on the shared target.
         let routes = routes_with(&["16.0.0.0/14"], 9);
         let target: IpAddr = "16.0.1.5".parse().unwrap();
-        let a = SourcePlan::build_deterministic(target, &routes, &Hitlist::default(), 42);
+        let a = SourcePlan::build(target, &routes, &Hitlist::default(), 42);
         // Plan other targets "first" — no effect on the shared target.
-        let _ = SourcePlan::build_deterministic(
+        let _ = SourcePlan::build(
             "16.0.2.9".parse().unwrap(),
             &routes,
             &Hitlist::default(),
             42,
         );
-        let b = SourcePlan::build_deterministic(target, &routes, &Hitlist::default(), 42);
+        let b = SourcePlan::build(target, &routes, &Hitlist::default(), 42);
         assert_eq!(a.sources, b.sources);
-        let c = SourcePlan::build_deterministic(target, &routes, &Hitlist::default(), 43);
+        let c = SourcePlan::build(target, &routes, &Hitlist::default(), 43);
         assert_ne!(a.sources, c.sources, "salt must matter");
     }
 
@@ -452,9 +428,8 @@ mod tests {
     fn same_prefix_never_equals_target() {
         let routes = routes_with(&["203.0.112.0/24"], 7);
         let target: IpAddr = "203.0.112.10".parse().unwrap();
-        for seed in 0..200 {
-            let mut r = ChaCha8Rng::seed_from_u64(seed);
-            let plan = SourcePlan::build(target, &routes, &mut r);
+        for salt in 0..200 {
+            let plan = SourcePlan::build(target, &routes, &Hitlist::default(), salt);
             let same = plan
                 .sources
                 .iter()

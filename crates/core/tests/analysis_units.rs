@@ -18,7 +18,7 @@ use bcd_core::targets::{Target, TargetSet};
 use bcd_dns::log::{QueryLog, QueryLogEntry};
 use bcd_dns::LogProto;
 use bcd_geo::{Country, GeoDb};
-use bcd_netsim::{Asn, Prefix, PrefixTable, SimDuration, SimTime};
+use bcd_netsim::{Asn, Prefix, PrefixTable, SimTime};
 use bcd_worldgen::DitlRecord;
 use std::net::IpAddr;
 
@@ -117,7 +117,6 @@ impl Fixture {
             scanner_v4: SCANNER_V4.parse().unwrap(),
             scanner_v6: SCANNER_V6.parse().unwrap(),
             public_dns: &[],
-            lifetime_threshold: SimDuration::from_secs(10),
         }
     }
 }

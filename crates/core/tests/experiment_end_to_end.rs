@@ -8,6 +8,7 @@ use bcd_core::analysis::local::LocalInfiltrationReport;
 use bcd_core::analysis::openclosed::OpenClosedReport;
 use bcd_core::analysis::ports::PortReport;
 use bcd_core::analysis::reachability::{MiddleboxReport, Reachability};
+use bcd_core::scanner::FOLLOWUPS_PER_FAMILY;
 use bcd_core::{Experiment, ExperimentConfig};
 use bcd_worldgen::PortClass;
 
@@ -303,7 +304,7 @@ fn scanner_sent_the_planned_queries_and_fired_followups() {
     assert!(stats.followup_sets > 0, "{stats:?}");
     assert_eq!(
         stats.followup_queries,
-        stats.followup_sets * 2 * data.cfg.followups_per_family as u64
+        stats.followup_sets * 2 * FOLLOWUPS_PER_FAMILY
     );
     assert_eq!(stats.open_probes, stats.followup_sets);
     assert_eq!(stats.tcp_probes, stats.followup_sets);

@@ -115,12 +115,11 @@ proptest! {
     /// classify_source is consistent with plan construction: every source a
     /// plan generates classifies back to its own category.
     #[test]
-    fn classification_inverts_planning(seed in any::<u64>(), third_octet in 0u8..255) {
+    fn classification_inverts_planning(salt in any::<u64>(), third_octet in 0u8..255) {
         let mut routes = PrefixTable::new();
         routes.announce("17.32.0.0/16".parse::<Prefix>().unwrap(), Asn(9));
         let target: IpAddr = format!("17.32.{third_octet}.77").parse().unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let plan = SourcePlan::build(target, &routes, &mut rng);
+        let plan = SourcePlan::build(target, &routes, &Hitlist::default(), salt);
         for (cat, src) in &plan.sources {
             let got = classify_source(*src, target, &routes);
             prop_assert_eq!(got, Some(*cat), "source {} of {}", src, target);
@@ -170,7 +169,7 @@ proptest! {
         let mut planned: Vec<(IpAddr, IpAddr)> = targets
             .iter()
             .flat_map(|t| {
-                SourcePlan::build_deterministic(t.addr, &routes, &Hitlist::default(), salt)
+                SourcePlan::build(t.addr, &routes, &Hitlist::default(), salt)
                     .sources
                     .into_iter()
                     .map(move |(_, s)| (t.addr, s))
@@ -212,7 +211,7 @@ proptest! {
     /// prefix always contributes an other-prefix source even when the AS
     /// has far more than 97 subnets.
     #[test]
-    fn hitlist_prefixes_win_the_cap(seed in any::<u64>()) {
+    fn hitlist_prefixes_win_the_cap(salt in any::<u64>()) {
         let mut routes = PrefixTable::new();
         // A /48 = 65,536 /64s.
         routes.announce("2600:77::/48".parse::<Prefix>().unwrap(), Asn(4));
@@ -220,13 +219,7 @@ proptest! {
         // Put a far-away /64 on the hitlist (index 40,000 — never in the
         // head of the enumeration).
         let active: Prefix = "2600:77:0:9c40::/64".parse().unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let plan = bcd_core::sources::SourcePlan::build_with_hitlist(
-            target,
-            &routes,
-            &Hitlist::new(vec![active], &routes),
-            &mut rng,
-        );
+        let plan = SourcePlan::build(target, &routes, &Hitlist::new(vec![active], &routes), salt);
         let in_active = plan
             .sources
             .iter()
@@ -342,7 +335,7 @@ proptest! {
         sorted.dedup();
         let head = hitlist_head(target, &routes, &sorted);
         let hitlist = Hitlist::new(raw, &routes);
-        let plan = SourcePlan::build_deterministic(target, &routes, &hitlist, salt);
+        let plan = SourcePlan::build(target, &routes, &hitlist, salt);
         let others: Vec<IpAddr> = plan
             .sources
             .iter()

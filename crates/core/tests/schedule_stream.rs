@@ -253,8 +253,8 @@ fn phase_and_plan_survive_target_set_identity() {
     let (targets, routes) = population(11, 5);
     let layout = LaneLayout::new(700, SimDuration::from_secs(5), 100, 99, None);
     for t in targets.iter() {
-        let p1 = SourcePlan::build_deterministic(t.addr, &routes, &Hitlist::default(), 99);
-        let p2 = SourcePlan::build_deterministic(t.addr, &routes, &Hitlist::default(), 99);
+        let p1 = SourcePlan::build(t.addr, &routes, &Hitlist::default(), 99);
+        let p2 = SourcePlan::build(t.addr, &routes, &Hitlist::default(), 99);
         assert_eq!(p1.sources, p2.sources);
         assert_eq!(layout.phase(t.addr), layout.phase(t.addr));
     }

@@ -6,9 +6,10 @@
 //! **byte-identical** for `BCD_SHARDS` ∈ {1, 4, 8} under both event
 //! schedulers ([`SchedKind::Heap`] and [`SchedKind::Wheel`]) at the same
 //! seed. Trace ids derive from qnames (never host RNG), spans
-//! evict in canonical `(time, trace, step)` order, and warmup resolver
-//! traffic is never traced, so nothing in the recorder may betray how the
-//! run was split or which queue implementation ordered its events.
+//! evict in canonical `(time, trace, step)` order, and the recorder is
+//! armed only after each runtime is spawned, so only probe-caused traffic
+//! is traced and nothing in the recorder may betray how the run was split
+//! or which queue implementation ordered its events.
 //!
 //! A golden snapshot additionally pins the rendered causal chain of one
 //! sampled query. Regenerate after an intentional span change with:

@@ -1160,11 +1160,6 @@ impl Network {
             .expect("interceptor for unknown AS")
             .dns_interceptor = Some(host);
     }
-
-    /// Mutable AS info (e.g. to flip a policy mid-run in tests).
-    pub fn as_info_mut(&mut self, asn: Asn) -> Option<&mut AsInfo> {
-        self.topo_mut().ases.get_mut(&asn.0)
-    }
 }
 
 impl std::ops::Deref for Network {

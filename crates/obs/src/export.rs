@@ -18,7 +18,8 @@ use crate::{PhaseRecord, RunObservation};
 use std::fmt::Write;
 
 /// Escape a string for a JSON string literal (quotes not included).
-fn escape(s: &str, out: &mut String) {
+/// Shared by the JSONL and Chrome trace encoders.
+pub(crate) fn escape(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -248,9 +249,12 @@ mod tests {
         let mut o = RunObservation::default();
         o.aggregate
             .add_counter("weird\"name", &[("k\\", "v\n")], Det::Stable, 1);
+        o.aggregate
+            .add_counter("ctl", &[("r\r", "t\t\u{1}")], Det::Stable, 1);
         let text = deterministic_jsonl(&o);
         assert!(text.contains("weird\\\"name"));
         assert!(text.contains("k\\\\"));
         assert!(text.contains("v\\n"));
+        assert!(text.contains("\"r\\r\":\"t\\t\\u0001\""), "{text}");
     }
 }

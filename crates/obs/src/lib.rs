@@ -19,10 +19,10 @@
 //!   log, scanner stats, client-path resolver counters) and are
 //!   shard-count-invariant; the equivalence suite byte-compares their JSONL
 //!   across `BCD_SHARDS` ∈ {1, 4, 8}.
-//! * [`Det::Layout`] values (engine event counts, raw packet counters that
-//!   include per-shard warmup traffic, per-shard breakdowns, wall-clock
-//!   durations) are reported separately and excluded from the deterministic
-//!   output.
+//! * [`Det::Layout`] values (engine event counts, which include timers
+//!   every shard runtime repeats; raw packet and cache counters, kept here
+//!   conservatively; per-shard breakdowns; wall-clock durations) are
+//!   reported separately and excluded from the deterministic output.
 //!
 //! Pieces:
 //!

@@ -25,9 +25,9 @@ pub enum Det {
     /// count. Only `Stable` entries appear in the deterministic export.
     Stable,
     /// Depends on the shard layout, machine, or wall clock (per-shard
-    /// splits, raw engine counters that include per-runtime warmup
-    /// traffic, timings). Reported, but excluded from deterministic
-    /// output.
+    /// splits, raw engine counters such as event counts that include
+    /// timers every shard runtime repeats, timings). Reported, but excluded
+    /// from deterministic output.
     Layout,
 }
 

@@ -86,7 +86,7 @@ impl RunProfile {
     }
 
     /// Record a per-shard phase that does not advance virtual time
-    /// (runtime spawn/warm-up, artifact extraction).
+    /// (runtime spawn, artifact extraction).
     pub fn record_shard_phase(&mut self, name: &str, shard: usize, wall: Duration) {
         self.phases.push(PhaseRecord {
             name: name.to_string(),

@@ -21,8 +21,8 @@ use std::fmt::Write;
 /// Canonical metric names shared between the instrumentation (in
 /// `bcd-core`) and this renderer.
 pub mod names {
-    /// Packets handed to the network (includes per-runtime warmup traffic:
-    /// layout-dependent).
+    /// Packets handed to the network (layout-class, conservatively: the
+    /// public resolvers every shard runtime copies keep per-runtime caches).
     pub const NET_SENT: &str = "net.sent";
     pub const NET_DELIVERED: &str = "net.delivered";
     pub const NET_DUPLICATED: &str = "net.duplicated";
@@ -31,8 +31,9 @@ pub mod names {
     pub const NET_DROP: &str = "net.drop";
     pub const ENGINE_EVENTS: &str = "engine.events";
     /// Causal span flight-recorder counters (`BCD_TRACE`). Stable when the
-    /// run is fault-free (traced traffic is shard-partitioned and warmup is
-    /// never traced); layout-class when a chaos fault schedule was armed.
+    /// run is fault-free (traced traffic is shard-partitioned and the
+    /// recorder is armed only after each runtime is spawned); layout-class
+    /// when a chaos fault schedule was armed.
     pub const SPAN_RECORDED: &str = "span.recorded";
     pub const SPAN_RETAINED: &str = "span.retained";
     pub const SPAN_EVICTED: &str = "span.evicted";
@@ -51,8 +52,9 @@ pub mod names {
     pub const DNS_ANSWERED: &str = "dns.answered";
     pub const DNS_CACHE_HITS: &str = "dns.cache_hits";
     pub const DNS_CACHE_MISSES: &str = "dns.cache_misses";
-    /// Resolution-path resolver counters (include warmup resolutions,
-    /// which every shard runtime repeats: layout-dependent).
+    /// Resolution-path resolver counters (layout-class, conservatively:
+    /// they include the public resolvers every shard runtime copies, whose
+    /// caches are per-runtime).
     pub const DNS_UPSTREAM_QUERIES: &str = "dns.upstream_queries";
     pub const DNS_SERVFAIL: &str = "dns.servfail";
     pub const DNS_TCP_RETRIES: &str = "dns.tcp_retries";

@@ -5,7 +5,12 @@
 //! shard runtimes.
 
 use crate::addressing::{carve_v4_24s, carve_v6_64s, AddressAllocator};
-use crate::config::WorldConfig;
+use crate::config::{
+    WorldConfig, DS_FILTER_FRACTION_V4, ENSURE_RESPONSIVE_PROB, FORWARDER_OPEN_FRACTION,
+    FORWARD_FRACTION_V4, FORWARD_FRACTION_V6, LOOPBACK_FILTER_FRACTION,
+    LOOPBACK_FILTER_FRACTION_V6, MAX_EVENTS, MIDDLEBOX_AS_FRACTION, OSAV_FRACTION,
+    PRIVATE_FILTER_FRACTION, V4_ACCEPT_MULTIPLIER, V6_ACCEPT_MULTIPLIER, V6_AS_FRACTION,
+};
 use crate::ditl::{self, DitlRecord};
 use crate::hitlist::Hitlist;
 use crate::profile::{
@@ -121,29 +126,6 @@ pub struct WorldRuntime {
     pub root_log: SharedLog,
 }
 
-/// Ground-truth inbound-filtering posture of one measured AS, as the
-/// generator rolled it. Cross-method validation scores both survey
-/// methods against this registry: the generator *knows* which border
-/// knobs each AS got, so agreement with it is the strongest soundness
-/// statement a simulated survey can make.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SavTruth {
-    pub asn: Asn,
-    /// Full destination-side source-address validation at the border.
-    pub dsav: bool,
-    /// Subnet-granular SAVI: drops claimed sources from the destination's
-    /// own /24 (v4) or /64 (v6).
-    pub subnet_savi: bool,
-    /// Partial internal SAV pass threshold: a source subnet passes iff its
-    /// deterministic permille bucket (`bcd_netsim::subnet_permille`) is
-    /// below this. 1000 = fully open to internal sources, 0 = fully closed.
-    pub internal_pass_permille: u16,
-    /// Ingress martian filter for v4 destination-as-source packets.
-    pub filter_ds_ingress_v4: bool,
-    /// The AS runs a transparent DNS interceptor (middlebox).
-    pub interceptor: bool,
-}
-
 impl World {
     /// Ground truth for a target address.
     pub fn meta_of(&self, addr: IpAddr) -> Option<&ResolverMeta> {
@@ -164,25 +146,6 @@ impl World {
             .as_info(asn)
             .map(|a| !a.policy.dsav)
             .unwrap_or(false)
-    }
-
-    /// The generator's ground-truth SAV posture for every measured AS, in
-    /// ASN order — the registry cross-method agreement is scored against.
-    pub fn sav_ground_truth(&self) -> Vec<SavTruth> {
-        self.measured_asns
-            .iter()
-            .map(|&asn| {
-                let info = self.as_info(asn).expect("measured AS must be registered");
-                SavTruth {
-                    asn,
-                    dsav: info.policy.dsav,
-                    subnet_savi: info.policy.subnet_savi,
-                    internal_pass_permille: info.policy.internal_pass_permille,
-                    filter_ds_ingress_v4: info.policy.filter_ds_ingress_v4,
-                    interceptor: info.dns_interceptor.is_some(),
-                }
-            })
-            .collect()
     }
 
     /// Instantiate a live engine over the shared topology: fresh query logs,
@@ -334,7 +297,7 @@ pub fn build(cfg: WorldConfig) -> World {
     };
     let mut net = WorldBuilder::new(NetworkConfig {
         seed: cfg.seed.wrapping_add(1),
-        max_events: cfg.max_events,
+        max_events: MAX_EVENTS,
         sched: cfg.sched,
         ..NetworkConfig::default()
     });
@@ -559,7 +522,7 @@ pub fn build(cfg: WorldConfig) -> World {
             .clamp(2, 300);
         let v4_prefixes = carve_v4_24s(&mut alloc, n_24s);
 
-        let has_v6 = rng.gen_bool(cfg.v6_as_fraction);
+        let has_v6 = rng.gen_bool(V6_AS_FRACTION);
         let (v6_prefixes, n_targets_v6) = if has_v6 {
             let n64 = (n_24s / 2).clamp(2, 120);
             let (_, subs) = carve_v6_64s(&mut alloc, n64);
@@ -618,13 +581,12 @@ pub fn build(cfg: WorldConfig) -> World {
             rng.gen_range(cfg.partial_pass_permille.0..=cfg.partial_pass_permille.1)
         };
         let policy = BorderPolicy {
-            osav: rng.gen_bool(cfg.osav_fraction),
+            osav: rng.gen_bool(OSAV_FRACTION),
             dsav: !plan.no_dsav,
-            filter_private_ingress: !plan.no_dsav || rng.gen_bool(cfg.private_filter_fraction),
-            filter_loopback_ingress: !plan.no_dsav || rng.gen_bool(cfg.loopback_filter_fraction),
-            filter_loopback_ingress_v6: !plan.no_dsav
-                || rng.gen_bool(cfg.loopback_filter_fraction_v6),
-            filter_ds_ingress_v4: plan.no_dsav && rng.gen_bool(cfg.ds_filter_fraction_v4),
+            filter_private_ingress: !plan.no_dsav || rng.gen_bool(PRIVATE_FILTER_FRACTION),
+            filter_loopback_ingress: !plan.no_dsav || rng.gen_bool(LOOPBACK_FILTER_FRACTION),
+            filter_loopback_ingress_v6: !plan.no_dsav || rng.gen_bool(LOOPBACK_FILTER_FRACTION_V6),
+            filter_ds_ingress_v4: plan.no_dsav && rng.gen_bool(DS_FILTER_FRACTION_V4),
             subnet_savi: plan.no_dsav && rng.gen_bool(cfg.subnet_savi_fraction),
             internal_pass_permille,
         };
@@ -641,7 +603,7 @@ pub fn build(cfg: WorldConfig) -> World {
         }
 
         // A middlebox AS intercepts all inbound UDP/53.
-        let middlebox = plan.no_dsav && rng.gen_bool(cfg.middlebox_as_fraction);
+        let middlebox = plan.no_dsav && rng.gen_bool(MIDDLEBOX_AS_FRACTION);
         if middlebox {
             let mbx_addr = plan.v4_prefixes[0].nth(250).unwrap();
             let upstream = public_dns_v4[rng.gen_range(0..public_dns_v4.len())];
@@ -686,7 +648,7 @@ pub fn build(cfg: WorldConfig) -> World {
                     if any_responsive
                         || count == 0
                         || !plan.no_dsav
-                        || !rng.gen_bool(cfg.ensure_responsive_prob)
+                        || !rng.gen_bool(ENSURE_RESPONSIVE_PROB)
                     {
                         break;
                     }
@@ -705,9 +667,9 @@ pub fn build(cfg: WorldConfig) -> World {
                 }
 
                 let accept = if v6_family {
-                    (plan.profile.accept_rate * cfg.v6_accept_multiplier).min(0.95)
+                    (plan.profile.accept_rate * V6_ACCEPT_MULTIPLIER).min(0.95)
                 } else {
-                    (plan.profile.accept_rate * cfg.v4_accept_multiplier).min(0.95)
+                    (plan.profile.accept_rate * V4_ACCEPT_MULTIPLIER).min(0.95)
                 };
                 let roll: f64 = rng.gen();
                 let (live, responsive) = if extra == count || roll < accept {
@@ -942,9 +904,9 @@ fn build_resolver(
 
     // Responsive: forwarder or direct.
     let fwd_frac = if v6_family {
-        cfg.forward_fraction_v6
+        FORWARD_FRACTION_V6
     } else {
-        cfg.forward_fraction_v4
+        FORWARD_FRACTION_V4
     };
     let forwards = rng.gen_bool(fwd_frac);
     let qmin = rng.gen_bool(cfg.qmin_fraction);
@@ -970,7 +932,7 @@ fn build_resolver(
         // Forwarders' own port behaviour is invisible to the authoritative
         // side; give them a common identity and the forwarder open-rate.
         let identity = sample_identity_for_class(rng, PortClass::LinuxPool);
-        (identity, rng.gen_bool(cfg.forwarder_open_fraction))
+        (identity, rng.gen_bool(FORWARDER_OPEN_FRACTION))
     } else {
         let identity = sample_port_identity(rng);
         let open = rng.gen_bool(identity.class.open_probability());

@@ -4,7 +4,63 @@
 //! paper's measured marginals. All fractions are documented with the paper
 //! number they target.
 
-/// Knobs for the synthetic Internet.
+// ---- paper-calibrated constants ----
+//
+// Every behaviour mix below has one value in every world preset, so it is a
+// constant rather than a setting. Each is documented with the paper number
+// it targets.
+
+/// Fraction of ASes that also announce IPv6 space (paper: 7,904 of
+/// ~54k–62k ≈ 0.13).
+pub(crate) const V6_AS_FRACTION: f64 = 0.13;
+/// Probability that a no-DSAV AS with targets but no responsive resolver
+/// (an artifact of down-scaling) gets one promoted — DITL sources were
+/// active resolvers months before the scan, so almost every AS in the
+/// trace still hosts at least one live handler (§4.1's per-AS
+/// reachability).
+pub(crate) const ENSURE_RESPONSIVE_PROB: f64 = 0.90;
+/// IPv6 acceptance multiplier over the per-country rate (§4.1 found v6
+/// targets *more* reachable: 6.2% vs 4.6%).
+pub(crate) const V6_ACCEPT_MULTIPLIER: f64 = 1.5;
+/// IPv4 acceptance damping (compensates the responsive-promotion pass so
+/// per-IP reachability stays at §4.1's 4.6%).
+pub(crate) const V4_ACCEPT_MULTIPLIER: f64 = 0.80;
+
+/// Fraction of responsive v4 resolvers that forward (§5.4: 47%).
+pub const FORWARD_FRACTION_V4: f64 = 0.47;
+/// Fraction of responsive v6 resolvers that forward (§5.4: 16%).
+pub const FORWARD_FRACTION_V6: f64 = 0.16;
+/// Open-resolver fraction among *forwarders* (derived so the global open
+/// share lands at §5.1's 40%).
+pub(crate) const FORWARDER_OPEN_FRACTION: f64 = 0.74;
+
+/// Fraction of no-DSAV ASes whose inbound DNS is grabbed by a transparent
+/// middlebox (§3.6.1: explains the ASes with no direct in-AS source at our
+/// authoritatives — 14% of v4 reachable ASes).
+pub(crate) const MIDDLEBOX_AS_FRACTION: f64 = 0.02;
+/// Fraction of no-DSAV ASes filtering private-source ingress (Table 3:
+/// private sources reached only 12–14% of reachable ASes).
+pub(crate) const PRIVATE_FILTER_FRACTION: f64 = 0.80;
+/// Fraction of no-DSAV ASes filtering IPv4 loopback-source ingress
+/// (near-universal: Table 3 has a single v4 loopback hit).
+pub(crate) const LOOPBACK_FILTER_FRACTION: f64 = 0.995;
+/// Fraction filtering IPv6 loopback-source ingress (much weaker in
+/// practice: Table 3's 106 v6 hits).
+pub(crate) const LOOPBACK_FILTER_FRACTION_V6: f64 = 0.85;
+/// Fraction of no-DSAV ASes dropping IPv4 dst-as-src martians at the
+/// border (calibrates Table 3's 17% v4 vs 70% v6 asymmetry).
+pub(crate) const DS_FILTER_FRACTION_V4: f64 = 0.35;
+/// OSAV deployment among measured ASes (irrelevant to DSAV results but
+/// part of the world; ~0.75 per the spoofer project).
+pub(crate) const OSAV_FRACTION: f64 = 0.75;
+
+/// Event budget for every engine spawned over a generated world. No paper
+/// counterpart: a runaway guard (a run that hits it reports
+/// `ExperimentData::budget_exhausted`).
+pub(crate) const MAX_EVENTS: u64 = 500_000_000;
+
+/// Knobs for the synthetic Internet: the values a preset, test, binary or
+/// benchmark actually varies.
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
     /// Master seed; everything derives from it.
@@ -12,39 +68,14 @@ pub struct WorldConfig {
     /// Number of measured ASes (the paper tested ~62,000; the default world
     /// is scaled down so a full survey runs in seconds).
     pub n_as: usize,
-    /// Fraction of ASes that also announce IPv6 space (paper: 7,904 of
-    /// ~54k–62k ≈ 0.13).
-    pub v6_as_fraction: f64,
     /// Global multiplier on the per-country `targets_per_as` means, to
     /// shrink the resolver population proportionally with `n_as`.
     pub target_scale: f64,
-    /// Fraction of DITL-derived targets that are *stale* — no longer (or
-    /// never) a live resolver at experiment time (§3.6.2 churn; drives the
-    /// gap between per-AS and per-IP reachability).
-    pub stale_target_fraction: f64,
     /// Of non-stale, non-handling targets: fraction that are live but
     /// REFUSE every spoofed source (§3.8's conservative-estimate evidence).
     pub refuse_all_fraction: f64,
-    /// Probability that a no-DSAV AS with targets but no responsive
-    /// resolver (an artifact of down-scaling) gets one promoted — DITL
-    /// sources were active resolvers months before the scan, so almost
-    /// every AS in the trace still hosts at least one live handler.
-    pub ensure_responsive_prob: f64,
-    /// IPv6 acceptance multiplier over the per-country rate (the paper
-    /// found v6 targets *more* reachable: 6.2% vs 4.6%).
-    pub v6_accept_multiplier: f64,
-    /// IPv4 acceptance damping (compensates the responsive-promotion pass
-    /// so per-IP reachability stays at the paper's 4.6%).
-    pub v4_accept_multiplier: f64,
 
     // ---- behaviour mixes among *responsive* resolvers ----
-    /// Fraction of responsive v4 resolvers that forward (§5.4: 47%).
-    pub forward_fraction_v4: f64,
-    /// Fraction of responsive v6 resolvers that forward (§5.4: 16%).
-    pub forward_fraction_v6: f64,
-    /// Open-resolver fraction among *forwarders* (derived so the global
-    /// open share lands at §5.1's 40%).
-    pub forwarder_open_fraction: f64,
     /// QNAME-minimizing resolvers (§3.6.4: 0.16% of targets).
     pub qmin_fraction: f64,
     /// Of qmin resolvers: fraction that halt on NXDOMAIN, hiding the full
@@ -52,10 +83,6 @@ pub struct WorldConfig {
     pub qmin_halts_fraction: f64,
 
     // ---- AS-level knobs ----
-    /// Fraction of no-DSAV ASes whose inbound DNS is grabbed by a
-    /// transparent middlebox (§3.6.1: explains the ASes with no direct
-    /// in-AS source at our authoritatives — 14% of v4 reachable ASes).
-    pub middlebox_as_fraction: f64,
     /// Fraction of no-DSAV ASes that nevertheless run subnet-granular SAVI
     /// (blocks same-prefix and dst-as-src spoofs; calibrated against
     /// Table 3's other-prefix-exclusive share).
@@ -68,21 +95,6 @@ pub struct WorldConfig {
     /// For partially-filtered ASes: the permille of internal subnets whose
     /// spoofs pass, sampled uniformly from this range.
     pub partial_pass_permille: (u16, u16),
-    /// Fraction of no-DSAV ASes filtering private-source ingress
-    /// (Table 3: private sources reached only 12–14% of reachable ASes).
-    pub private_filter_fraction: f64,
-    /// Fraction of no-DSAV ASes filtering IPv4 loopback-source ingress
-    /// (near-universal: the paper saw a single v4 loopback hit).
-    pub loopback_filter_fraction: f64,
-    /// Fraction filtering IPv6 loopback-source ingress (much weaker in
-    /// practice: 106 v6 hits).
-    pub loopback_filter_fraction_v6: f64,
-    /// Fraction of no-DSAV ASes dropping IPv4 dst-as-src martians at the
-    /// border (calibrates the paper's 17% v4 vs 70% v6 asymmetry).
-    pub ds_filter_fraction_v4: f64,
-    /// OSAV deployment among measured ASes (irrelevant to DSAV results but
-    /// part of the world; ~0.75 per the spoofer project).
-    pub osav_fraction: f64,
 
     // ---- §3.6.3 human intervention ----
     /// Probability that a spoofed query dropped at a *filtered* border is
@@ -107,8 +119,6 @@ pub struct WorldConfig {
     pub materialize_ditl: bool,
 
     // ---- engine ----
-    /// Event budget for the simulation.
-    pub max_events: u64,
     /// Event-scheduler implementation for every engine spawned over this
     /// world (heap oracle vs timing wheel; observationally identical).
     pub sched: bcd_netsim::SchedKind,
@@ -127,32 +137,17 @@ impl WorldConfig {
         WorldConfig {
             seed,
             n_as: 600,
-            v6_as_fraction: 0.13,
             target_scale: 0.22,
-            stale_target_fraction: 0.62,
             refuse_all_fraction: 0.30,
-            ensure_responsive_prob: 0.90,
-            v6_accept_multiplier: 1.5,
-            v4_accept_multiplier: 0.80,
-            forward_fraction_v4: 0.47,
-            forward_fraction_v6: 0.16,
-            forwarder_open_fraction: 0.74,
             qmin_fraction: 0.0016,
             qmin_halts_fraction: 0.55,
-            middlebox_as_fraction: 0.02,
             subnet_savi_fraction: 0.22,
             fully_spoofable_fraction: 0.20,
             partial_pass_permille: (10, 150),
-            private_filter_fraction: 0.80,
-            loopback_filter_fraction: 0.995,
-            loopback_filter_fraction_v6: 0.85,
-            ds_filter_fraction_v4: 0.35,
-            osav_fraction: 0.75,
             human_lookup_fraction: 0.00005,
             human_lookup_delay_secs: 7_200,
             address_density: 1.0,
             materialize_ditl: true,
-            max_events: 500_000_000,
             sched: bcd_netsim::SchedKind::default(),
             chaos: None,
         }
@@ -206,28 +201,40 @@ mod tests {
 
     #[test]
     fn defaults_are_sane() {
-        let c = WorldConfig::paper_shape(1);
-        assert!(c.n_as > 100);
         for f in [
-            c.v6_as_fraction,
-            c.stale_target_fraction,
-            c.ensure_responsive_prob,
-            c.forward_fraction_v4,
-            c.forward_fraction_v6,
-            c.forwarder_open_fraction,
-            c.qmin_fraction,
-            c.qmin_halts_fraction,
-            c.middlebox_as_fraction,
-            c.subnet_savi_fraction,
-            c.fully_spoofable_fraction,
-            c.private_filter_fraction,
-            c.loopback_filter_fraction,
-            c.osav_fraction,
-            c.human_lookup_fraction,
+            V6_AS_FRACTION,
+            ENSURE_RESPONSIVE_PROB,
+            FORWARD_FRACTION_V4,
+            FORWARD_FRACTION_V6,
+            FORWARDER_OPEN_FRACTION,
+            MIDDLEBOX_AS_FRACTION,
+            PRIVATE_FILTER_FRACTION,
+            LOOPBACK_FILTER_FRACTION,
+            LOOPBACK_FILTER_FRACTION_V6,
+            DS_FILTER_FRACTION_V4,
+            OSAV_FRACTION,
         ] {
             assert!((0.0..=1.0).contains(&f));
         }
+        let c = WorldConfig::paper_shape(1);
         let t = WorldConfig::tiny(1);
-        assert!(t.n_as < c.n_as);
+        let i = WorldConfig::internet_scale(1);
+        assert!(c.n_as > 100);
+        assert!(t.n_as < c.n_as && c.n_as < i.n_as);
+        for w in [&c, &t, &i] {
+            for f in [
+                w.refuse_all_fraction,
+                w.qmin_fraction,
+                w.qmin_halts_fraction,
+                w.subnet_savi_fraction,
+                w.fully_spoofable_fraction,
+                w.human_lookup_fraction,
+            ] {
+                assert!((0.0..=1.0).contains(&f));
+            }
+            let (lo, hi) = w.partial_pass_permille;
+            assert!(lo <= hi && hi <= 1000);
+            assert!(w.address_density > 0.0 && w.address_density <= 1.0);
+        }
     }
 }

@@ -4,6 +4,7 @@
 //! the analyses rediscover these numbers from packets; here we check the
 //! world actually embodies them.
 
+use bcd_worldgen::config::{FORWARD_FRACTION_V4, FORWARD_FRACTION_V6};
 use bcd_worldgen::{build, AclKind, PortClass, WorldConfig};
 
 fn big_world() -> build::World {
@@ -43,7 +44,7 @@ fn forward_fractions_match_config() {
         .collect();
     let fwd = resp_v4.iter().filter(|r| r.forwards).count() as f64 / resp_v4.len() as f64;
     assert!(
-        (fwd - w.cfg.forward_fraction_v4).abs() < 0.06,
+        (fwd - FORWARD_FRACTION_V4).abs() < 0.06,
         "v4 forward fraction {fwd}"
     );
     let resp_v6: Vec<_> = w
@@ -54,7 +55,7 @@ fn forward_fractions_match_config() {
     if resp_v6.len() > 50 {
         let fwd6 = resp_v6.iter().filter(|r| r.forwards).count() as f64 / resp_v6.len() as f64;
         assert!(
-            (fwd6 - w.cfg.forward_fraction_v6).abs() < 0.10,
+            (fwd6 - FORWARD_FRACTION_V6).abs() < 0.10,
             "v6 forward fraction {fwd6}"
         );
     }
@@ -79,7 +80,7 @@ fn every_no_dsav_as_with_targets_usually_has_a_responsive_resolver() {
         }
     }
     let frac = with_responsive as f64 / with_targets as f64;
-    // ensure_responsive_prob = 0.90 plus organic responsiveness.
+    // The 0.90 responsive-promotion probability plus organic responsiveness.
     assert!(
         frac > 0.85,
         "only {frac:.2} of no-DSAV ASes have a live handler"
