@@ -21,9 +21,7 @@ struct Row {
 }
 
 fn run(label: &'static str, tune: impl FnOnce(&mut ExperimentConfig)) -> Row {
-    let mut cfg = ExperimentConfig::paper_shape(bcd_bench::env_u64("BCD_SEED", 2019));
-    cfg.world.n_as = bcd_bench::env_u64("BCD_NAS", 300) as usize;
-    cfg.world.target_scale = bcd_bench::env_f64("BCD_SCALE", 0.15);
+    let mut cfg = bcd_bench::config(300, 0.15);
     tune(&mut cfg);
     let data = Experiment::run(cfg);
     let reach = Reachability::compute(&data.input());

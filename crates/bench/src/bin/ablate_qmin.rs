@@ -8,12 +8,10 @@
 //! recovered coverage.
 
 use bcd_core::analysis::reachability::Reachability;
-use bcd_core::{Experiment, ExperimentConfig};
+use bcd_core::Experiment;
 
 fn run(wildcard: bool) -> (usize, usize, usize) {
-    let mut cfg = ExperimentConfig::paper_shape(bcd_bench::env_u64("BCD_SEED", 2019));
-    cfg.world.n_as = bcd_bench::env_u64("BCD_NAS", 300) as usize;
-    cfg.world.target_scale = bcd_bench::env_f64("BCD_SCALE", 0.15);
+    let mut cfg = bcd_bench::config(300, 0.15);
     // Make qmin common enough to matter (the 2019 Internet had 0.16%; the
     // ablation wants the mechanism visible).
     cfg.world.qmin_fraction = 0.25;

@@ -7,12 +7,10 @@
 //! actually remove them and re-scan.
 
 use bcd_core::analysis::reachability::Reachability;
-use bcd_core::{Experiment, ExperimentConfig, SourceCategory};
+use bcd_core::{Experiment, SourceCategory};
 
 fn run(label: &str, filter: Option<Vec<SourceCategory>>) -> (String, usize, usize) {
-    let mut cfg = ExperimentConfig::paper_shape(bcd_bench::env_u64("BCD_SEED", 2019));
-    cfg.world.n_as = bcd_bench::env_u64("BCD_NAS", 300) as usize;
-    cfg.world.target_scale = bcd_bench::env_f64("BCD_SCALE", 0.15);
+    let mut cfg = bcd_bench::config(300, 0.15);
     cfg.category_filter = filter;
     let data = Experiment::run(cfg);
     let reach = Reachability::compute(&data.input());

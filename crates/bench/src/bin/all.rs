@@ -1,55 +1,52 @@
-//! Regenerate every table and figure in one run (one shared survey).
+//! Regenerate the paper's evaluation sections from one shared survey.
+//!
+//! ```text
+//! all                     # every section, then the engine traffic totals
+//! all table3 headline     # just those sections, in that order
+//! all table5              # lab sections only: no survey runs
+//! ```
+//!
+//! Section names are [`bcd_core::report::SECTIONS`]; an unknown name exits
+//! with status 2 before any work starts.
 
-use bcd_core::analysis::categories::CategoryReport;
-use bcd_core::analysis::country::CountryReport;
-use bcd_core::analysis::forwarding::ForwardingReport;
-use bcd_core::analysis::local::LocalInfiltrationReport;
-use bcd_core::analysis::openclosed::OpenClosedReport;
-use bcd_core::analysis::passive::PassiveReport;
-use bcd_core::analysis::ports::PortReport;
-use bcd_core::analysis::qmin::QminReport;
-use bcd_core::analysis::reachability::{MiddleboxReport, Reachability};
-use bcd_core::{lab, report};
+use bcd_core::report::{self, PaperReport, SECTIONS};
 use std::time::Instant;
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(bad) = args.iter().find(|a| !SECTIONS.contains(&a.as_str())) {
+        eprintln!(
+            "all: unknown section `{bad}`; valid sections: {}",
+            SECTIONS.join(", ")
+        );
+        std::process::exit(2);
+    }
+    let sections: Vec<&str> = if args.is_empty() {
+        SECTIONS.to_vec()
+    } else {
+        args.iter().map(String::as_str).collect()
+    };
+    let lab_queries = bcd_bench::env_or("BCD_LAB_QUERIES", 10_000);
+
+    if sections.iter().all(|s| report::is_lab_section(s)) {
+        let paper = PaperReport::lab_only(lab_queries, bcd_bench::standard_config().world.seed);
+        for section in sections {
+            println!("{}", paper.render(section).expect("a known section"));
+        }
+        return;
+    }
+
     let mut data = bcd_bench::standard_data();
     let t0 = Instant::now();
-    let input = data.input();
-    let reach = Reachability::compute(&input);
-    let countries = CountryReport::compute(&input, &reach);
-    let cats = CategoryReport::compute(&reach);
-    let oc = OpenClosedReport::compute(&input, &reach);
-    let ports = PortReport::compute(&input, &oc);
-    let fwd = ForwardingReport::compute(&input);
-    let local = LocalInfiltrationReport::compute(&reach);
-    let qmin = QminReport::compute(&input, &reach);
-    let mbx = MiddleboxReport::compute(&input, &reach);
-    let passive = PassiveReport::compute(&ports, &data.world.ditl2018);
+    let paper = PaperReport::new(&data, lab_queries);
     data.obs.profile.record("analysis", t0.elapsed());
     let t0 = Instant::now();
-
-    println!("{}", report::render_headline(&data.targets, &reach));
-    println!("{}", report::render_table1(&countries, 10));
-    println!("{}", report::render_table2(&countries, 10));
-    println!("{}", report::render_table3(&cats));
-    println!("{}", report::render_table4(&ports));
-    let n = bcd_bench::env_u64("BCD_LAB_QUERIES", 10_000) as usize;
-    let seed = bcd_bench::env_u64("BCD_SEED", 2019);
-    println!("{}", report::render_table5(&lab::table5(n, seed)));
-    println!("{}", report::render_table6(&lab::table6()));
-    println!("{}", report::render_figure2(&ports));
-    println!(
-        "{}",
-        report::render_figure3a(&lab::figure3a_samples(n, seed))
-    );
-    println!("{}", report::render_figure3b(&ports));
-    println!("{}", report::render_openclosed(&oc));
-    println!("{}", report::render_forwarding(&fwd));
-    println!("{}", report::render_local(&local));
-    println!("{}", report::render_methodology(&reach, &qmin, &mbx));
-    println!("{}", report::render_passive(&passive));
-    println!("{}", report::render_engine_totals(&data.counters));
+    for section in sections {
+        println!("{}", paper.render(section).expect("a known section"));
+    }
+    if args.is_empty() {
+        println!("{}", report::render_engine_totals(&data.counters));
+    }
     data.obs.profile.record("report", t0.elapsed());
 
     // The run report goes to stderr (it is run metadata, not a paper

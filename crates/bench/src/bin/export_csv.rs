@@ -12,6 +12,7 @@ use std::fs;
 
 fn main() -> std::io::Result<()> {
     fs::create_dir_all("results")?;
+    let n = bcd_bench::env_or("BCD_LAB_QUERIES", 10_000);
     let data = bcd_bench::standard_data();
     let input = data.input();
     let reach = Reachability::compute(&input);
@@ -26,8 +27,7 @@ fn main() -> std::io::Result<()> {
     fs::write("results/fig2_field_ranges.csv", f2)?;
 
     // Figure 3a: lab sample ranges per pool, plus the Beta(9,2) curve.
-    let n = bcd_bench::env_u64("BCD_LAB_QUERIES", 10_000) as usize;
-    let samples = lab::figure3a_samples(n, bcd_bench::env_u64("BCD_SEED", 2019));
+    let samples = lab::figure3a_samples(n, data.cfg.world.seed);
     let mut f3 = String::from("pool_label,pool_size,sample_range\n");
     for (label, pool, ranges) in &samples {
         for r in ranges {

@@ -20,15 +20,6 @@ pub struct CountryRow {
 }
 
 impl CountryRow {
-    /// AS reachability percentage.
-    pub fn as_pct(&self) -> f64 {
-        if self.ases_total.is_empty() {
-            0.0
-        } else {
-            100.0 * self.ases_reachable.len() as f64 / self.ases_total.len() as f64
-        }
-    }
-
     /// Target (IP) reachability percentage.
     pub fn ip_pct(&self) -> f64 {
         if self.targets_total == 0 {

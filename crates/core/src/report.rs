@@ -1,10 +1,11 @@
 //! Plain-text rendering of every table and figure in the paper's
-//! evaluation. Used by the `bcd-bench` regeneration binaries and the
-//! examples; EXPERIMENTS.md records these outputs next to the paper's
-//! numbers.
+//! evaluation. [`SECTIONS`] lists the paper's artifacts by name and
+//! [`PaperReport`] renders any of them from one survey; `bcd-bench`'s
+//! `all [section…]` prints them, and EXPERIMENTS.md records the output
+//! next to the paper's numbers.
 
 use crate::analysis::categories::CategoryReport;
-use crate::analysis::country::CountryReport;
+use crate::analysis::country::{CountryReport, CountryRow};
 use crate::analysis::forwarding::ForwardingReport;
 use crate::analysis::local::LocalInfiltrationReport;
 use crate::analysis::openclosed::OpenClosedReport;
@@ -12,19 +13,149 @@ use crate::analysis::passive::PassiveReport;
 use crate::analysis::ports::PortReport;
 use crate::analysis::qmin::QminReport;
 use crate::analysis::reachability::{MiddleboxReport, Reachability};
-use crate::lab::{LabPortResult, StackRow};
+use crate::experiment::ExperimentData;
+use crate::lab::{self, LabPortResult, StackRow};
 use crate::sources::SourceCategory;
 use crate::targets::TargetSet;
+use bcd_geo::Country;
 use bcd_stats::{Beta, StackedHistogram};
 use std::fmt::Write;
+use std::sync::Arc;
+
+/// The paper's evaluation sections, in report order: the §4 headline,
+/// Tables 1–6, Figures 2–3 and the §5/§3.6 numbers. Each name is also the
+/// name of its golden snapshot (`crates/core/tests/golden/<name>.txt`).
+pub const SECTIONS: [&str; 15] = [
+    "headline",
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "figure2",
+    "figure3a",
+    "figure3b",
+    "openclosed",
+    "forwarding",
+    "local",
+    "methodology",
+    "passive",
+];
+
+/// True for the sections the controlled lab renders on its own (Table 5,
+/// Table 6, Figure 3a): they need no survey.
+pub fn is_lab_section(name: &str) -> bool {
+    matches!(name, "table5" | "table6" | "figure3a")
+}
+
+/// Renders any of [`SECTIONS`] by name. The survey's analysis chain is
+/// computed once, in [`PaperReport::new`]; the lab harnesses run only when
+/// one of their sections is rendered.
+pub struct PaperReport {
+    survey: Option<SurveyAnalyses>,
+    lab_queries: usize,
+    lab_seed: u64,
+}
+
+/// Every survey analysis a paper section renders from.
+struct SurveyAnalyses {
+    targets: Arc<TargetSet>,
+    reach: Reachability,
+    countries: CountryReport,
+    cats: CategoryReport,
+    oc: OpenClosedReport,
+    ports: PortReport,
+    fwd: ForwardingReport,
+    local: LocalInfiltrationReport,
+    qmin: QminReport,
+    mbx: MiddleboxReport,
+    passive: PassiveReport,
+}
+
+impl PaperReport {
+    /// Analyse one survey. The lab sections issue `lab_queries` queries per
+    /// software instance, seeded with the survey's world seed.
+    pub fn new(data: &ExperimentData, lab_queries: usize) -> PaperReport {
+        let input = data.input();
+        let reach = Reachability::compute(&input);
+        let countries = CountryReport::compute(&input, &reach);
+        let cats = CategoryReport::compute(&reach);
+        let oc = OpenClosedReport::compute(&input, &reach);
+        let ports = PortReport::compute(&input, &oc);
+        let fwd = ForwardingReport::compute(&input);
+        let local = LocalInfiltrationReport::compute(&reach);
+        let qmin = QminReport::compute(&input, &reach);
+        let mbx = MiddleboxReport::compute(&input, &reach);
+        let passive = PassiveReport::compute(&ports, &data.world.ditl2018);
+        PaperReport {
+            survey: Some(SurveyAnalyses {
+                targets: Arc::clone(&data.targets),
+                reach,
+                countries,
+                cats,
+                oc,
+                ports,
+                fwd,
+                local,
+                qmin,
+                mbx,
+                passive,
+            }),
+            lab_queries,
+            lab_seed: data.cfg.world.seed,
+        }
+    }
+
+    /// A report without a survey: it renders the lab sections only (see
+    /// [`is_lab_section`]).
+    pub fn lab_only(lab_queries: usize, seed: u64) -> PaperReport {
+        PaperReport {
+            survey: None,
+            lab_queries,
+            lab_seed: seed,
+        }
+    }
+
+    /// Render one section; `None` for a name not in [`SECTIONS`].
+    ///
+    /// # Panics
+    /// On a survey section of a [`PaperReport::lab_only`] report.
+    pub fn render(&self, section: &str) -> Option<String> {
+        let a = || {
+            self.survey
+                .as_ref()
+                .unwrap_or_else(|| panic!("section {section} needs a survey"))
+        };
+        let (n, seed) = (self.lab_queries, self.lab_seed);
+        Some(match section {
+            "headline" => render_headline(&a().targets, &a().reach),
+            "table1" => render_table1(&a().countries, 10),
+            "table2" => render_table2(&a().countries, 10),
+            "table3" => render_table3(&a().cats),
+            "table4" => render_table4(&a().ports),
+            "table5" => render_table5(&lab::table5(n, seed)),
+            "table6" => render_table6(&lab::table6()),
+            "figure2" => render_figure2(&a().ports),
+            "figure3a" => render_figure3a(&lab::figure3a_samples(n, seed)),
+            "figure3b" => render_figure3b(&a().ports),
+            "openclosed" => render_openclosed(&a().oc),
+            "forwarding" => render_forwarding(&a().fwd),
+            "local" => render_local(&a().local),
+            "methodology" => render_methodology(&a().reach, &a().qmin, &a().mbx),
+            "passive" => render_passive(&a().passive),
+            _ => return None,
+        })
+    }
+}
 
 /// Engine traffic accounting: merged packet totals and the per-reason
-/// drop breakdown. Not a paper artifact — a sanity surface for survey runs
-/// (`bcd-bench all`, the `dsav_survey` example), answering "where did the
-/// probes go?" at a glance. Deliberately omits the engine event counter:
-/// that is per-engine bookkeeping that varies with the shard layout, and
-/// this render goes to stdout, which must stay byte-identical across
-/// `BCD_SHARDS` (events appear in the stderr run report instead).
+/// drop breakdown. Not a paper artifact — a sanity surface that
+/// `bcd-bench`'s `all` prints after the paper sections, answering "where
+/// did the probes go?" at a glance. Deliberately omits the engine event
+/// counter: that is per-engine bookkeeping that varies with the shard
+/// layout, and this render goes to stdout, which must stay byte-identical
+/// across `BCD_SHARDS` (events appear in the stderr run report instead).
 pub fn render_engine_totals(counters: &bcd_netsim::NetCounters) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "== engine traffic totals ==");
@@ -108,48 +239,32 @@ pub fn render_headline(targets: &TargetSet, reach: &Reachability) -> String {
 
 /// Table 1: top countries by AS count.
 pub fn render_table1(report: &CountryReport, top: usize) -> String {
-    let mut s = String::new();
-    writeln!(
-        s,
-        "== Table 1: DSAV results, top {top} countries by AS count =="
+    render_country_table(
+        &format!("Table 1: DSAV results, top {top} countries by AS count"),
+        &report.table1(top),
     )
-    .unwrap();
-    writeln!(
-        s,
-        "{:<22} {:>8} {:>18} {:>10} {:>18}",
-        "Country", "ASes", "Reachable", "IPs", "Reachable"
-    )
-    .unwrap();
-    for (country, row) in report.table1(top) {
-        writeln!(
-            s,
-            "{:<22} {:>8} {:>18} {:>10} {:>18}",
-            country.name(),
-            row.ases_total.len(),
-            pct(row.ases_reachable.len(), row.ases_total.len()),
-            row.targets_total,
-            pct(row.targets_reachable, row.targets_total),
-        )
-        .unwrap();
-    }
-    s
 }
 
 /// Table 2: top countries by IP reachability.
 pub fn render_table2(report: &CountryReport, top: usize) -> String {
-    let mut s = String::new();
-    writeln!(
-        s,
-        "== Table 2: DSAV results, top {top} countries by reachable-IP percentage =="
+    render_country_table(
+        &format!("Table 2: DSAV results, top {top} countries by reachable-IP percentage"),
+        &report.table2(top),
     )
-    .unwrap();
+}
+
+/// Tables 1 and 2 share their columns; only the title and the row order
+/// differ.
+fn render_country_table(title: &str, rows: &[(Country, &CountryRow)]) -> String {
+    let mut s = String::new();
+    writeln!(s, "== {title} ==").unwrap();
     writeln!(
         s,
         "{:<22} {:>8} {:>18} {:>10} {:>18}",
         "Country", "ASes", "Reachable", "IPs", "Reachable"
     )
     .unwrap();
-    for (country, row) in report.table2(top) {
+    for (country, row) in rows {
         writeln!(
             s,
             "{:<22} {:>8} {:>18} {:>10} {:>18}",
@@ -615,4 +730,25 @@ pub fn render_passive(report: &PassiveReport) -> String {
     )
     .unwrap();
     s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_section_renders_none() {
+        let report = PaperReport::lab_only(10, 1);
+        assert_eq!(report.render("nosuch"), None);
+        assert_eq!(report.render("Table3"), None);
+        assert_eq!(report.render(""), None);
+    }
+
+    #[test]
+    fn lab_sections_render_without_a_survey() {
+        let report = PaperReport::lab_only(20, 1);
+        for name in SECTIONS.into_iter().filter(|s| is_lab_section(s)) {
+            assert!(report.render(name).is_some(), "{name}");
+        }
+    }
 }

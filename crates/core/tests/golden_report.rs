@@ -1,8 +1,9 @@
 //! Golden snapshot tests for every renderer in [`bcd_core::report`].
 //!
-//! One tiny-world survey feeds all renderers; the output of each is
-//! compared byte-for-byte against a committed snapshot under
-//! `tests/golden/`. Together with the shard-equivalence suite this pins
+//! One tiny-world survey feeds every paper section
+//! ([`bcd_core::report::SECTIONS`]) and the deterministic run report; the
+//! output of each is compared byte-for-byte against a committed snapshot
+//! under `tests/golden/`. Together with the shard-equivalence suite this pins
 //! the full render surface: any change to an analysis, a renderer, or the
 //! engine's determinism shows up as a snapshot diff. The survey runs three
 //! times — the production config, then the heap-scheduler and
@@ -14,17 +15,9 @@
 //! UPDATE_GOLDEN=1 cargo test -p bcd-core --test golden_report
 //! ```
 
-use bcd_core::analysis::categories::CategoryReport;
-use bcd_core::analysis::country::CountryReport;
-use bcd_core::analysis::forwarding::ForwardingReport;
-use bcd_core::analysis::local::LocalInfiltrationReport;
-use bcd_core::analysis::openclosed::OpenClosedReport;
-use bcd_core::analysis::passive::PassiveReport;
-use bcd_core::analysis::ports::PortReport;
-use bcd_core::analysis::qmin::QminReport;
-use bcd_core::analysis::reachability::{MiddleboxReport, Reachability};
+use bcd_core::report::{PaperReport, SECTIONS};
 use bcd_core::schedule::ScheduleMode;
-use bcd_core::{lab, report, Experiment, ExperimentConfig};
+use bcd_core::{Experiment, ExperimentConfig};
 use bcd_netsim::SchedKind;
 use bcd_obs::ObsEnv;
 use std::path::PathBuf;
@@ -76,41 +69,10 @@ fn all_renderers_match_golden_snapshots() {
     for (label, cfg) in oracle_runs(ExperimentConfig::tiny(SEED)) {
         let check = |name: &str, actual: &str| check(label, name, actual);
         let data = Experiment::run_observed(cfg, &ObsEnv::disabled());
-        let input = data.input();
-        let reach = Reachability::compute(&input);
-        let countries = CountryReport::compute(&input, &reach);
-        let cats = CategoryReport::compute(&reach);
-        let oc = OpenClosedReport::compute(&input, &reach);
-        let ports = PortReport::compute(&input, &oc);
-        let fwd = ForwardingReport::compute(&input);
-        let local = LocalInfiltrationReport::compute(&reach);
-        let qmin = QminReport::compute(&input, &reach);
-        let mbx = MiddleboxReport::compute(&input, &reach);
-        let passive = PassiveReport::compute(&ports, &data.world.ditl2018);
-        check("headline", &report::render_headline(&data.targets, &reach));
-        check("table1", &report::render_table1(&countries, 10));
-        check("table2", &report::render_table2(&countries, 10));
-        check("table3", &report::render_table3(&cats));
-        check("table4", &report::render_table4(&ports));
-        check(
-            "table5",
-            &report::render_table5(&lab::table5(LAB_QUERIES, SEED)),
-        );
-        check("table6", &report::render_table6(&lab::table6()));
-        check("figure2", &report::render_figure2(&ports));
-        check(
-            "figure3a",
-            &report::render_figure3a(&lab::figure3a_samples(LAB_QUERIES, SEED)),
-        );
-        check("figure3b", &report::render_figure3b(&ports));
-        check("openclosed", &report::render_openclosed(&oc));
-        check("forwarding", &report::render_forwarding(&fwd));
-        check("local", &report::render_local(&local));
-        check(
-            "methodology",
-            &report::render_methodology(&reach, &qmin, &mbx),
-        );
-        check("passive", &report::render_passive(&passive));
+        let paper = PaperReport::new(&data, LAB_QUERIES);
+        for name in SECTIONS {
+            check(name, &paper.render(name).expect("a known section"));
+        }
         // The observability surface: only the *deterministic* renders can be
         // snapshots — they are shard-count-invariant (obs_invariance.rs), so
         // the same golden holds under any BCD_SHARDS.
@@ -120,4 +82,31 @@ fn all_renderers_match_golden_snapshots() {
         );
         check("metrics_jsonl", &bcd_obs::deterministic_jsonl(&data.obs));
     }
+}
+
+/// Snapshots under `tests/golden/` that are not paper sections: the
+/// observability renders above and the chaos, cross-method and trace
+/// suites' own goldens.
+const NON_SECTION_GOLDENS: [&str; 5] = [
+    "run_report",
+    "metrics_jsonl",
+    "agreement",
+    "chaos_run",
+    "trace_render",
+];
+
+#[test]
+fn section_list_matches_the_golden_files() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let mut goldens: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "txt"))
+        .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+        .filter(|name| !NON_SECTION_GOLDENS.contains(&name.as_str()))
+        .collect();
+    goldens.sort();
+    let mut sections: Vec<String> = SECTIONS.iter().map(|s| s.to_string()).collect();
+    sections.sort();
+    assert_eq!(sections, goldens);
 }

@@ -18,12 +18,9 @@
 //! (`golden_report.rs`, `chaos_golden.rs`) additionally re-run their
 //! surveys under `SchedKind::Heap` against the committed snapshots.
 
-use bcd_core::analysis::categories::CategoryReport;
-use bcd_core::analysis::openclosed::OpenClosedReport;
-use bcd_core::analysis::ports::PortReport;
-use bcd_core::analysis::reachability::Reachability;
 use bcd_core::chaos::{chaos_config, run_chaotic, run_clean};
-use bcd_core::{entries_digest, report, ExperimentConfig, ExperimentData, InvariantChecker};
+use bcd_core::report::{is_lab_section, PaperReport, SECTIONS};
+use bcd_core::{entries_digest, ExperimentConfig, ExperimentData, InvariantChecker};
 use bcd_netsim::SchedKind;
 
 /// Run one survey with an explicit scheduler; `profile` of `None` is the
@@ -36,19 +33,6 @@ fn run(seed: u64, shards: usize, profile: Option<&str>, sched: SchedKind) -> Exp
         None => run_clean(&cfg),
         Some(p) => run_chaotic(&cfg, chaos_config(seed, p).expect("known chaos profile")),
     }
-}
-
-fn renders(data: &ExperimentData) -> [String; 3] {
-    let input = data.input();
-    let reach = Reachability::compute(&input);
-    let cats = CategoryReport::compute(&reach);
-    let oc = OpenClosedReport::compute(&input, &reach);
-    let ports = PortReport::compute(&input, &oc);
-    [
-        report::render_headline(&data.targets, &reach),
-        report::render_table3(&cats),
-        report::render_table4(&ports),
-    ]
 }
 
 /// The identity assertion: everything observable about the two runs must
@@ -68,11 +52,14 @@ fn assert_equivalent(heap: &ExperimentData, wheel: &ExperimentData, label: &str)
         entries_digest(wheel),
         "{label}: entries_digest differs"
     );
-    assert_eq!(
-        renders(heap),
-        renders(wheel),
-        "{label}: rendered reports differ"
-    );
+    let (heap_report, wheel_report) = (PaperReport::new(heap, 0), PaperReport::new(wheel, 0));
+    for section in SECTIONS.into_iter().filter(|s| !is_lab_section(s)) {
+        assert_eq!(
+            heap_report.render(section),
+            wheel_report.render(section),
+            "{label}: section {section} differs"
+        );
+    }
     assert_eq!(
         format!("{:?}", heap.counters),
         format!("{:?}", wheel.counters),

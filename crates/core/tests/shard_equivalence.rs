@@ -4,9 +4,9 @@
 //! per shard over the *same* shared world, and merges the artifacts
 //! deterministically. These tests lock in the observable guarantees:
 //!
-//! * the headline and the two most merge-sensitive tables render
-//!   *byte-identically* for 1, 2, and 8 shards — across seeds, so the
-//!   invariance is not an accident of one topology;
+//! * every survey section of the paper report renders *byte-identically*
+//!   for 1, 2, and 8 shards — across seeds, so the invariance is not an
+//!   accident of one topology (the lab sections do not read the survey);
 //! * the *raw* merged log-entry count is *equal* at every shard count.
 //!   Entry counts are the sharpest invariant: the shared public-DNS hosts
 //!   relay queries from many ASes, and before their upstream draws were
@@ -14,29 +14,20 @@
 //!   `(txid, sport)`), rare txid collisions made one-in-a-thousand probes
 //!   retry — or not — depending on the shard layout.
 
-use bcd_core::analysis::categories::CategoryReport;
-use bcd_core::analysis::openclosed::OpenClosedReport;
-use bcd_core::analysis::ports::PortReport;
-use bcd_core::analysis::reachability::Reachability;
-use bcd_core::{report, Experiment, ExperimentConfig};
+use bcd_core::report::{is_lab_section, PaperReport, SECTIONS};
+use bcd_core::{Experiment, ExperimentConfig};
 
-fn run(seed: u64, shards: usize) -> (usize, [String; 3]) {
+fn run(seed: u64, shards: usize) -> (usize, Vec<(&'static str, String)>) {
     let mut cfg = ExperimentConfig::tiny(seed);
     cfg.shards = shards;
     let data = Experiment::run(cfg);
-    let input = data.input();
-    let reach = Reachability::compute(&input);
-    let cats = CategoryReport::compute(&reach);
-    let oc = OpenClosedReport::compute(&input, &reach);
-    let ports = PortReport::compute(&input, &oc);
-    (
-        data.entries.len(),
-        [
-            report::render_headline(&data.targets, &reach),
-            report::render_table3(&cats),
-            report::render_table4(&ports),
-        ],
-    )
+    let paper = PaperReport::new(&data, 0);
+    let renders = SECTIONS
+        .into_iter()
+        .filter(|s| !is_lab_section(s))
+        .map(|s| (s, paper.render(s).expect("a known section")))
+        .collect();
+    (data.entries.len(), renders)
 }
 
 #[test]
@@ -53,7 +44,8 @@ fn renders_and_entry_counts_are_shard_count_invariant() {
             for (one, many) in single.iter().zip(sharded.iter()) {
                 assert_eq!(
                     one, many,
-                    "render differs between 1 and {shards} shards at seed {seed}"
+                    "{} differs between 1 and {shards} shards at seed {seed}",
+                    one.0
                 );
             }
         }

@@ -53,19 +53,6 @@ impl AuthServer {
         }
     }
 
-    /// Change a served zone's answer mode (e.g. switch the experiment zone
-    /// from NXDOMAIN to wildcard synthesis, the §3.6.4 ablation). Panics if
-    /// the apex is not served here.
-    pub fn set_zone_mode(&mut self, apex: &bcd_dnswire::Name, mode: ZoneMode) {
-        let zone = self
-            .cfg
-            .zones
-            .iter_mut()
-            .find(|z| z.apex == *apex)
-            .expect("zone not served by this host");
-        zone.mode = mode;
-    }
-
     /// Compose the response for `query` (also used directly by tests).
     /// Returns `None` for unparseable or non-query messages.
     pub fn answer(&self, query: &Message, over_tcp: bool) -> Option<Message> {

@@ -46,11 +46,6 @@ impl StubClient {
             responses: Vec::new(),
         }
     }
-
-    /// The response for a given transaction id, if received.
-    pub fn response_for(&self, txid: u16) -> Option<&StubResponse> {
-        self.responses.iter().find(|r| r.txid == txid)
-    }
 }
 
 impl Node for StubClient {

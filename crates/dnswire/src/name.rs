@@ -87,11 +87,6 @@ impl Name {
         self.labels.iter().map(Vec::as_slice)
     }
 
-    /// The leftmost label, if any.
-    pub fn first_label(&self) -> Option<&[u8]> {
-        self.labels.first().map(Vec::as_slice)
-    }
-
     /// Total encoded length without compression: each label costs `1 + len`,
     /// plus the terminating root byte.
     pub fn wire_len(&self) -> usize {

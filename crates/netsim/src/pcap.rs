@@ -14,7 +14,6 @@
 
 use crate::packet::{Packet, TcpSegment, Transport};
 use crate::span::{FlightRecorder, SpanKind};
-use std::io::{self, Write};
 use std::net::IpAddr;
 
 /// LINKTYPE_RAW: packets start with the IP header (v4 or v6).
@@ -210,15 +209,6 @@ pub fn pcap_bytes(flight: &FlightRecorder, include_drops: bool) -> Vec<u8> {
         out.extend_from_slice(&bytes);
     }
     out
-}
-
-/// Write the recorder's captured packets to a pcap file.
-pub fn write_pcap<W: Write>(
-    flight: &FlightRecorder,
-    include_drops: bool,
-    mut w: W,
-) -> io::Result<()> {
-    w.write_all(&pcap_bytes(flight, include_drops))
 }
 
 #[cfg(test)]
