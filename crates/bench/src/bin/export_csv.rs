@@ -1,10 +1,8 @@
 //! Export the figure series as CSV (results/*.csv) for external plotting —
 //! the numeric series behind Figures 2, 3a and 3b.
 
-use bcd_core::analysis::openclosed::OpenClosedReport;
-use bcd_core::analysis::ports::PortReport;
-use bcd_core::analysis::reachability::Reachability;
 use bcd_core::lab;
+use bcd_core::report::PaperReport;
 use bcd_osmodel::P0fClass;
 use bcd_stats::Beta;
 use std::fmt::Write as _;
@@ -14,10 +12,8 @@ fn main() -> std::io::Result<()> {
     fs::create_dir_all("results")?;
     let n = bcd_bench::env_or("BCD_LAB_QUERIES", 10_000);
     let data = bcd_bench::standard_data();
-    let input = data.input();
-    let reach = Reachability::compute(&input);
-    let oc = OpenClosedReport::compute(&input, &reach);
-    let ports = PortReport::compute(&input, &oc);
+    let report = PaperReport::new(&data, n);
+    let ports = report.ports();
 
     // Figure 2 / 3b: one row per resolver.
     let mut f2 = String::from("range,open,p0f\n");

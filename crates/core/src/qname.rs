@@ -18,7 +18,7 @@
 //! labels decodes to an [`ExperimentTag`]; queries cut short by QNAME
 //! minimization decode to [`Decoded::Partial`] (§3.6.4).
 
-use bcd_dnswire::Name;
+use bcd_dnswire::{Name, WireReader, WireWriter, MAX_NAME_WIRE_LEN};
 use bcd_netsim::SimTime;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -69,22 +69,72 @@ pub struct QnameCodec {
     f4: Name,
     f6: Name,
     tcp: Name,
+    /// Uncompressed wire bytes of `kw.<zone apex>` (root byte included),
+    /// one per [`SuffixKind`] in declaration order: the constant tail of
+    /// every probe name, copied whole by [`QnameCodec::write_wire`].
+    tails: [Vec<u8>; 4],
 }
 
-fn encode_addr(ip: IpAddr) -> String {
-    match ip {
-        IpAddr::V4(a) => {
-            let o = a.octets();
-            format!("s{}-{}-{}-{}", o[0], o[1], o[2], o[3])
-        }
-        IpAddr::V6(a) => {
-            let s = a.segments();
-            format!(
-                "s{:x}-{:x}-{:x}-{:x}-{:x}-{:x}-{:x}-{:x}",
-                s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
-            )
+/// Append `v` in decimal.
+fn push_dec(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
+    out.extend_from_slice(&digits[i..]);
+}
+
+/// Append `v` in lowercase hex without leading zeros (`{:x}`).
+fn push_hex(out: &mut Vec<u8>, v: u16) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut shift = 12;
+    while shift > 0 && v >> shift == 0 {
+        shift -= 4;
+    }
+    loop {
+        out.push(HEX[usize::from((v >> shift) & 0xF)]);
+        if shift == 0 {
+            break;
+        }
+        shift -= 4;
+    }
+}
+
+/// Append an address: dash-joined decimal octets (v4) or hex segments (v6).
+fn push_addr(out: &mut Vec<u8>, ip: IpAddr) {
+    match ip {
+        IpAddr::V4(a) => {
+            for (i, o) in a.octets().into_iter().enumerate() {
+                if i > 0 {
+                    out.push(b'-');
+                }
+                push_dec(out, u64::from(o));
+            }
+        }
+        IpAddr::V6(a) => {
+            for (i, s) in a.segments().into_iter().enumerate() {
+                if i > 0 {
+                    out.push(b'-');
+                }
+                push_hex(out, s);
+            }
+        }
+    }
+}
+
+/// Append one label, length byte first: `tag`, then what `body` writes.
+fn push_label(out: &mut Vec<u8>, tag: u8, body: impl FnOnce(&mut Vec<u8>)) {
+    let len_at = out.len();
+    out.push(0);
+    out.push(tag);
+    body(out);
+    out[len_at] = (out.len() - len_at - 1) as u8;
 }
 
 fn decode_addr(label: &[u8]) -> Option<IpAddr> {
@@ -112,28 +162,59 @@ fn decode_addr(label: &[u8]) -> Option<IpAddr> {
 
 impl QnameCodec {
     /// A codec for the experiment zones rooted at `apex` (e.g.
-    /// `dns-lab.org`) with keyword `kw`.
+    /// `dns-lab.org`) with keyword `kw`. Panics if `kw` is not a valid
+    /// label.
     pub fn new(apex: &Name, kw: &str) -> QnameCodec {
+        let main = apex.clone();
+        let f4 = apex.child("f4").unwrap();
+        let f6 = apex.child("f6").unwrap();
+        let tcp = apex.child("tcp").unwrap();
+        let tail = |zone: &Name| {
+            let mut w = WireWriter::new();
+            zone.child(kw)
+                .expect("kw label")
+                .encode_uncompressed(&mut w);
+            w.into_bytes()
+        };
         QnameCodec {
             kw: kw.to_string(),
-            main: apex.clone(),
-            f4: apex.child("f4").unwrap(),
-            f6: apex.child("f6").unwrap(),
-            tcp: apex.child("tcp").unwrap(),
+            tails: [tail(&main), tail(&f4), tail(&f6), tail(&tcp)],
+            main,
+            f4,
+            f6,
+            tcp,
         }
     }
 
-    /// The zone apex for a suffix kind.
-    pub fn suffix_apex(&self, kind: SuffixKind) -> &Name {
-        match kind {
-            SuffixKind::Main => &self.main,
-            SuffixKind::F4 => &self.f4,
-            SuffixKind::F6 => &self.f6,
-            SuffixKind::Tcp => &self.tcp,
-        }
+    /// Append the probe name `t<ns>.s<src>.d<dst>.a<asn>.<kw>.<zone apex>`
+    /// to `out` in uncompressed wire form (length-prefixed labels, root
+    /// byte last). This is the one label formatter: digits are written in
+    /// place and the `kw.<apex>` tail is a precomputed copy, so nothing is
+    /// allocated beyond `out`'s growth.
+    pub fn write_wire(
+        &self,
+        out: &mut Vec<u8>,
+        ts: SimTime,
+        src: IpAddr,
+        dst: IpAddr,
+        asn: u32,
+        suffix: SuffixKind,
+    ) {
+        let start = out.len();
+        push_label(out, b't', |o| push_dec(o, ts.as_nanos()));
+        push_label(out, b's', |o| push_addr(o, src));
+        push_label(out, b'd', |o| push_addr(o, dst));
+        push_label(out, b'a', |o| push_dec(o, u64::from(asn)));
+        out.extend_from_slice(&self.tails[suffix as usize]);
+        assert!(
+            out.len() - start <= MAX_NAME_WIRE_LEN,
+            "probe name too long"
+        );
     }
 
-    /// Build the probe name.
+    /// Build the probe name as a [`Name`]: [`QnameCodec::write_wire`]'s
+    /// bytes, parsed. For callers that keep or compare names; the scanner
+    /// sends the wire bytes directly.
     pub fn encode(
         &self,
         ts: SimTime,
@@ -142,17 +223,9 @@ impl QnameCodec {
         asn: u32,
         suffix: SuffixKind,
     ) -> Name {
-        let apex = self.suffix_apex(suffix);
-        let mut name = apex.child(self.kw.as_bytes()).expect("kw label");
-        name = name.child(format!("a{asn}").as_bytes()).expect("asn label");
-        name = name
-            .child(encode_addr(dst).replacen('s', "d", 1).as_bytes())
-            .expect("dst label");
-        name = name.child(encode_addr(src).as_bytes()).expect("src label");
-        name = name
-            .child(format!("t{}", ts.as_nanos()).as_bytes())
-            .expect("ts label");
-        name
+        let mut wire = Vec::with_capacity(MAX_NAME_WIRE_LEN);
+        self.write_wire(&mut wire, ts, src, dst, asn, suffix);
+        Name::decode(&mut WireReader::new(&wire)).expect("probe name")
     }
 
     /// Decode an observed query name.

@@ -117,16 +117,26 @@ impl PaperReport {
         }
     }
 
+    fn survey(&self, what: &str) -> &SurveyAnalyses {
+        self.survey
+            .as_ref()
+            .unwrap_or_else(|| panic!("{what} needs a survey"))
+    }
+
+    /// The §5.2 source-port analysis behind Table 4 and Figures 2 and 3b.
+    ///
+    /// # Panics
+    /// On a [`PaperReport::lab_only`] report.
+    pub fn ports(&self) -> &PortReport {
+        &self.survey("the port analysis").ports
+    }
+
     /// Render one section; `None` for a name not in [`SECTIONS`].
     ///
     /// # Panics
     /// On a survey section of a [`PaperReport::lab_only`] report.
     pub fn render(&self, section: &str) -> Option<String> {
-        let a = || {
-            self.survey
-                .as_ref()
-                .unwrap_or_else(|| panic!("section {section} needs a survey"))
-        };
+        let a = || self.survey(section);
         let (n, seed) = (self.lab_queries, self.lab_seed);
         Some(match section {
             "headline" => render_headline(&a().targets, &a().reach),

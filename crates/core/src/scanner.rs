@@ -24,7 +24,7 @@ use crate::qname::{Decoded, QnameCodec, SuffixKind};
 use crate::schedule::{Schedule, ScheduledQuery};
 use crate::targets::TargetSet;
 use bcd_dns::SharedLog;
-use bcd_dnswire::{Message, MessageView, RCode, RType, WireWriter, MAX_NAME_WIRE_LEN};
+use bcd_dnswire::{MessageView, RCode, MAX_NAME_WIRE_LEN};
 use bcd_netsim::hash::{fnv1a, fnv1a_addr, FNV_OFFSET};
 use bcd_netsim::{Node, NodeCtx, Packet, Prefix, SimDuration, SimTime, Topology, Transport};
 use std::collections::{BTreeMap, HashSet};
@@ -52,6 +52,135 @@ pub(crate) fn probe_unit(salt: u64, q: &ScheduledQuery) -> f64 {
     fnv1a_addr(&mut h, q.source);
     fnv1a_addr(&mut h, q.target);
     (h >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// Transaction id and source port of a scanner query, from its canonical
+/// name text (which already encodes the probe's identity: ts.src.dst.asn)
+/// rather than the node rng. A sharded run's scanner only walks its own
+/// slice of the schedule, so rng stream *position* is layout-dependent,
+/// and no packet byte may be (the flight recorder records them verbatim,
+/// and the lab server logs the human lookups it receives). `tag` separates
+/// the spoofed probes (`b"probe"`) from the human lookups (`b""`) that
+/// reuse their names.
+fn query_ids(salt: u64, canonical: &[u8], tag: &[u8]) -> (u16, u16) {
+    let mut h = FNV_OFFSET;
+    fnv1a(&mut h, &salt.to_le_bytes());
+    fnv1a(&mut h, canonical);
+    fnv1a(&mut h, tag);
+    ((h >> 32) as u16, 20_000 + (h % 40_000) as u16)
+}
+
+/// RD query header with transaction id 0 (patched in by
+/// [`QueryWriter`]): opcode QUERY, RD set, QDCOUNT 1.
+const QUERY_HEADER: [u8; 12] = [0, 0, 0x01, 0x00, 0, 1, 0, 0, 0, 0, 0, 0];
+/// QTYPE A, QCLASS IN.
+const QUESTION_TAIL: [u8; 4] = [0, 1, 0, 1];
+
+/// Every query the scanner sends: one RD `A/IN` question, written
+/// straight to wire bytes in a reused buffer — header, the name from
+/// [`QnameCodec::write_wire`], question tail — with the txid patched in
+/// once the canonical name text (derived from the same bytes) has been
+/// hashed. Byte-equal to `Message::query(txid, name, RType::A)` encoded;
+/// no `Name` or `Message` is built.
+#[derive(Debug, Clone)]
+pub struct QueryWriter {
+    bytes: Vec<u8>,
+    canon: [u8; MAX_NAME_WIRE_LEN],
+    canon_len: usize,
+    sport: u16,
+}
+
+impl Default for QueryWriter {
+    fn default() -> QueryWriter {
+        QueryWriter {
+            bytes: Vec::with_capacity(QUERY_HEADER.len() + MAX_NAME_WIRE_LEN + QUESTION_TAIL.len()),
+            canon: [0; MAX_NAME_WIRE_LEN],
+            canon_len: 0,
+            sport: 0,
+        }
+    }
+}
+
+impl QueryWriter {
+    /// Write the spoofed-probe query for `codec`'s name
+    /// `t<ts>.s<src>.d<dst>.a<asn>.<kw>.<suffix apex>`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn probe(
+        &mut self,
+        codec: &QnameCodec,
+        salt: u64,
+        ts: SimTime,
+        src: IpAddr,
+        dst: IpAddr,
+        asn: u32,
+        suffix: SuffixKind,
+    ) {
+        self.bytes.clear();
+        self.bytes.extend_from_slice(&QUERY_HEADER);
+        codec.write_wire(&mut self.bytes, ts, src, dst, asn, suffix);
+        self.finish(salt, b"probe");
+    }
+
+    /// Write a human lookup of a name an earlier probe carried
+    /// (`name_wire` as returned by [`QueryWriter::name_wire`]).
+    pub fn lookup(&mut self, salt: u64, name_wire: &[u8]) {
+        self.bytes.clear();
+        self.bytes.extend_from_slice(&QUERY_HEADER);
+        self.bytes.extend_from_slice(name_wire);
+        self.finish(salt, b"");
+    }
+
+    fn finish(&mut self, salt: u64, tag: &[u8]) {
+        self.bytes.extend_from_slice(&QUESTION_TAIL);
+        let name = &self.bytes[QUERY_HEADER.len()..self.bytes.len() - QUESTION_TAIL.len()];
+        self.canon_len = canonical_text(name, &mut self.canon);
+        let (txid, sport) = query_ids(salt, &self.canon[..self.canon_len], tag);
+        self.bytes[..2].copy_from_slice(&txid.to_be_bytes());
+        self.sport = sport;
+    }
+
+    /// The whole query message.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The question name in uncompressed wire form.
+    pub fn name_wire(&self) -> &[u8] {
+        &self.bytes[QUERY_HEADER.len()..self.bytes.len() - QUESTION_TAIL.len()]
+    }
+
+    /// The name's canonical text (`Name::canonical_into`'s form: lowercase
+    /// labels, each followed by a dot).
+    pub fn canonical(&self) -> &str {
+        std::str::from_utf8(&self.canon[..self.canon_len]).unwrap_or(".")
+    }
+
+    /// The source port the query goes out from.
+    pub fn sport(&self) -> u16 {
+        self.sport
+    }
+}
+
+/// Canonical text of an uncompressed wire name: each label lowercased and
+/// followed by a dot; the root alone is a single dot.
+fn canonical_text(wire: &[u8], out: &mut [u8; MAX_NAME_WIRE_LEN]) -> usize {
+    let mut n = 0;
+    let mut i = 0;
+    while wire[i] != 0 {
+        let label = &wire[i + 1..=i + usize::from(wire[i])];
+        for (o, b) in out[n..n + label.len()].iter_mut().zip(label) {
+            *o = b.to_ascii_lowercase();
+        }
+        n += label.len();
+        out[n] = b'.';
+        n += 1;
+        i += 1 + label.len();
+    }
+    if n == 0 {
+        out[0] = b'.';
+        n = 1;
+    }
+    n
 }
 
 /// Human-intervention noise model (§3.6.3).
@@ -124,16 +253,21 @@ pub struct ScannerStats {
     pub outage_deferrals: u64,
 }
 
+/// A pending human lookup: the probe name's wire bytes and the analyst's
+/// address.
+type HumanLookup = (Box<[u8]>, IpAddr);
+
 /// The scanner node.
 pub struct Scanner {
     cfg: ScannerConfig,
     next_query: usize,
     log_cursor: usize,
     followed_up: HashSet<IpAddr>,
-    human_queue: BTreeMap<SimTime, Vec<(bcd_dnswire::Name, IpAddr)>>,
-    /// Reusable encode buffer: every probe is serialized here, then copied
+    /// Pending human lookups by due time.
+    human_queue: BTreeMap<SimTime, Vec<HumanLookup>>,
+    /// Reusable query buffer: every query is written here, then copied
     /// once into the packet's shared payload.
-    scratch: WireWriter,
+    query: QueryWriter,
     /// Wall-clock start, for the heartbeat's rate/ETA estimate only.
     wall_start: std::time::Instant,
     /// Responses received at the scanner's real addresses:
@@ -151,7 +285,7 @@ impl Scanner {
             log_cursor: 0,
             followed_up: HashSet::new(),
             human_queue: BTreeMap::new(),
-            scratch: WireWriter::new(),
+            query: QueryWriter::default(),
             wall_start: std::time::Instant::now(),
             responses: Vec::new(),
             stats: ScannerStats::default(),
@@ -163,38 +297,33 @@ impl Scanner {
         &self.followed_up
     }
 
-    fn send_dns(
-        &mut self,
-        ctx: &mut NodeCtx<'_>,
-        src: IpAddr,
-        dst: IpAddr,
-        qname: bcd_dnswire::Name,
-    ) {
-        // Port and txid derive from the qname (which already encodes the
-        // probe's identity — ts.src.dst.asn) rather than the node rng: a
-        // sharded run's scanner only walks its own slice of the schedule,
-        // so rng stream *position* is layout-dependent, and every packet
-        // byte must not be (the flight recorder records them verbatim).
-        let mut canon = [0u8; MAX_NAME_WIRE_LEN];
-        let n = qname.canonical_into(&mut canon);
-        let mut h = FNV_OFFSET;
-        fnv1a(&mut h, &self.cfg.noise_salt.to_le_bytes());
-        fnv1a(&mut h, &canon[..n]);
-        fnv1a(&mut h, b"probe");
-        let txid = (h >> 32) as u16;
-        let sport = 20_000 + (h % 40_000) as u16;
-        // Causal trace id: pure function of the qname, sampled per the
-        // armed flight recorder's policy. The sampler sees the same
-        // canonical bytes (trailing dot trimmed inside), so the
-        // armed-but-unsampled path never Display-formats the name.
+    /// Send the query in the writer from `src` to `dst`:53. The trace id
+    /// is a pure function of the name, sampled per the armed flight
+    /// recorder's policy from the canonical text (trailing dot trimmed
+    /// inside), so the armed-but-unsampled path formats nothing.
+    fn send_query(&mut self, ctx: &mut NodeCtx<'_>, src: IpAddr, dst: IpAddr) {
         let trace = if ctx.tracing() {
-            ctx.sample_trace(std::str::from_utf8(&canon[..n]).unwrap_or("."))
+            ctx.sample_trace(self.query.canonical())
         } else {
             0
         };
-        let msg = Message::query(txid, qname, RType::A);
-        msg.encode_into(&mut self.scratch);
-        ctx.send(Packet::udp(src, dst, sport, 53, self.scratch.as_bytes()).with_trace(trace));
+        let q = &self.query;
+        ctx.send(Packet::udp(src, dst, q.sport(), 53, q.bytes()).with_trace(trace));
+    }
+
+    /// Write and send one probe query.
+    fn send_probe(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        ts: SimTime,
+        src: IpAddr,
+        dst: IpAddr,
+        asn: u32,
+        suffix: SuffixKind,
+    ) {
+        let (codec, salt) = (&self.cfg.codec, self.cfg.noise_salt);
+        self.query.probe(codec, salt, ts, src, dst, asn, suffix);
+        self.send_query(ctx, src, dst);
     }
 
     /// If `now` falls inside a configured outage, the time it ends.
@@ -245,11 +374,15 @@ impl Scanner {
                 self.stats.opted_out += 1;
                 continue;
             }
-            let asn = t.asn.0;
-            let qname = self
-                .cfg
-                .codec
-                .encode(now, q.source, q.target, asn, SuffixKind::Main);
+            self.query.probe(
+                &self.cfg.codec,
+                self.cfg.noise_salt,
+                now,
+                q.source,
+                q.target,
+                t.asn.0,
+                SuffixKind::Main,
+            );
             self.stats.spoofed_sent += 1;
             if let Some((every, sid, phase)) = &self.cfg.progress {
                 if self.stats.spoofed_sent.is_multiple_of(*every) {
@@ -286,12 +419,12 @@ impl Scanner {
                     self.human_queue
                         .entry(due)
                         .or_default()
-                        .push((qname.clone(), admin));
+                        .push((self.query.name_wire().into(), admin));
                     ctx.set_timer(h.delay, TOK_HUMAN);
                 }
             }
 
-            self.send_dns(ctx, q.source, q.target, qname);
+            self.send_query(ctx, q.source, q.target);
         }
     }
 
@@ -302,22 +435,10 @@ impl Scanner {
         // 10 IPv4-only + 10 IPv6-only, each with a unique timestamp label
         // (nanosecond offsets keep names unique without altering lifetime).
         for i in 0..FOLLOWUPS_PER_FAMILY {
-            let name = self.cfg.codec.encode(
-                now + SimDuration::from_nanos(i),
-                src,
-                dst,
-                asn,
-                SuffixKind::F4,
-            );
-            self.send_dns(ctx, src, dst, name);
-            let name = self.cfg.codec.encode(
-                now + SimDuration::from_nanos(FOLLOWUPS_PER_FAMILY + i),
-                src,
-                dst,
-                asn,
-                SuffixKind::F6,
-            );
-            self.send_dns(ctx, src, dst, name);
+            let ts = now + SimDuration::from_nanos(i);
+            self.send_probe(ctx, ts, src, dst, asn, SuffixKind::F4);
+            let ts = now + SimDuration::from_nanos(FOLLOWUPS_PER_FAMILY + i);
+            self.send_probe(ctx, ts, src, dst, asn, SuffixKind::F6);
             self.stats.followup_queries += 2;
         }
         // Open-resolver probe: NOT spoofed — our real source address.
@@ -326,24 +447,12 @@ impl Scanner {
         } else {
             self.cfg.v4
         };
-        let name = self.cfg.codec.encode(
-            now + SimDuration::from_nanos(2 * FOLLOWUPS_PER_FAMILY),
-            real,
-            dst,
-            asn,
-            SuffixKind::Main,
-        );
-        self.send_dns(ctx, real, dst, name);
+        let ts = now + SimDuration::from_nanos(2 * FOLLOWUPS_PER_FAMILY);
+        self.send_probe(ctx, ts, real, dst, asn, SuffixKind::Main);
         self.stats.open_probes += 1;
         // TCP probe: spoofed again, in the TC=1 zone.
-        let name = self.cfg.codec.encode(
-            now + SimDuration::from_nanos(2 * FOLLOWUPS_PER_FAMILY + 1),
-            src,
-            dst,
-            asn,
-            SuffixKind::Tcp,
-        );
-        self.send_dns(ctx, src, dst, name);
+        let ts = now + SimDuration::from_nanos(2 * FOLLOWUPS_PER_FAMILY + 1);
+        self.send_probe(ctx, ts, src, dst, asn, SuffixKind::Tcp);
         self.stats.tcp_probes += 1;
     }
 
@@ -380,36 +489,19 @@ impl Scanner {
         let now = ctx.now();
         let due: Vec<SimTime> = self.human_queue.range(..=now).map(|(t, _)| *t).collect();
         for t in due {
-            for (qname, admin) in self.human_queue.remove(&t).unwrap_or_default() {
+            for (name, admin) in self.human_queue.remove(&t).unwrap_or_default() {
                 // The analyst's resolver queries our authoritative server
-                // directly with the logged name (source: inside target AS).
-                // Port and txid derive from the name rather than the node
-                // rng: this packet is *logged* at the lab server, so its
-                // observables must not depend on scanner stream position.
+                // directly with the logged name (source: inside target AS);
+                // the same name gives the same trace id, so a sampled trace
+                // shows the human lookup alongside the probe.
                 self.stats.human_lookups += 1;
                 let lab = if admin.is_ipv6() {
                     self.cfg.lab_v6
                 } else {
                     self.cfg.lab_v4
                 };
-                let mut canon = [0u8; MAX_NAME_WIRE_LEN];
-                let n = qname.canonical_into(&mut canon);
-                let mut h = FNV_OFFSET;
-                fnv1a(&mut h, &self.cfg.noise_salt.to_le_bytes());
-                fnv1a(&mut h, &canon[..n]);
-                let sport = 20_000 + (h % 40_000) as u16;
-                // Same qname as the spoofed probe → same trace id, so a
-                // sampled trace shows the human lookup alongside the probe.
-                let trace = if ctx.tracing() {
-                    ctx.sample_trace(std::str::from_utf8(&canon[..n]).unwrap_or("."))
-                } else {
-                    0
-                };
-                let msg = Message::query((h >> 32) as u16, qname, RType::A);
-                msg.encode_into(&mut self.scratch);
-                ctx.send(
-                    Packet::udp(admin, lab, sport, 53, self.scratch.as_bytes()).with_trace(trace),
-                );
+                self.query.lookup(self.cfg.noise_salt, &name);
+                self.send_query(ctx, admin, lab);
             }
         }
     }

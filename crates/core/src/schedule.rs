@@ -550,38 +550,29 @@ fn derive_target(
 /// [`Raw::key`]; times are rewritten in place (rows that move land on a
 /// whole-second boundary, like the legacy pass).
 ///
-/// The bucket is sized from the *post-extension* bound up front — the last
-/// occupied second plus the worst-case spill (`len / quota`) — instead of
-/// the old `window.as_secs() as usize` seed (a truncating cast on 32-bit
-/// targets) regrown by fixed `+1024` chunks inside the overflow loop
-/// (O(n²) copies under long extensions). The in-loop resize remains only
-/// as a geometric-growth backstop.
+/// One monotone cursor — the latest second holding a send and how many
+/// it holds — replaces a per-second table. Rows arrive in original-time
+/// order, so a row's original second is never before the previous row's,
+/// and every second from there up to the cursor has already been filled
+/// to the quota (the cursor only advances past a second once it is full).
+/// A row therefore lands on the cursor's second if that has room, on the
+/// next second if not, or on its own second if that lies beyond the
+/// cursor: the same slot as a first-fit scan from its original second,
+/// in O(rows).
 fn smooth_lane(queries: &mut [Raw], quota: u32) {
-    if queries.is_empty() {
-        return;
-    }
     let quota = quota.max(1);
-    let last_sec = queries.last().unwrap().at_ns / NANOS_PER_SEC;
-    let spill = queries.len() as u64 / u64::from(quota);
-    let bound = usize::try_from(last_sec + spill + 2).expect("schedule horizon fits usize");
-    let mut used: Vec<u32> = vec![0; bound];
+    // The cursor: a second and the sends already placed in it.
+    let (mut sec, mut used) = (0u64, 0u32);
     for r in queries.iter_mut() {
         let orig_sec = r.at_ns / NANOS_PER_SEC;
-        let mut sec = orig_sec as usize;
-        loop {
-            if sec >= used.len() {
-                // Unreachable given the bound above; grow geometrically if
-                // the arithmetic is ever wrong rather than O(n²)-copying.
-                used.resize((used.len() * 2).max(sec + 1), 0);
-            }
-            if used[sec] < quota {
-                used[sec] += 1;
-                break;
-            }
-            sec += 1;
+        if orig_sec > sec {
+            (sec, used) = (orig_sec, 0);
+        } else if used >= quota {
+            (sec, used) = (sec + 1, 0);
         }
-        if sec as u64 != orig_sec {
-            r.at_ns = sec as u64 * NANOS_PER_SEC;
+        used += 1;
+        if sec != orig_sec {
+            r.at_ns = sec * NANOS_PER_SEC;
         }
     }
 }
@@ -732,6 +723,87 @@ mod tests {
         // Lane count is 1 at rate 1, so the schedule stretches to ~total
         // seconds.
         assert!(s.end.as_secs() >= census.total - 2);
+    }
+
+    /// First-fit leaky bucket over a per-second table: each row takes the
+    /// earliest second at or after its own with room. The reference the
+    /// cursor in `smooth_lane` must reproduce.
+    fn first_fit(at_ns: &[u64], quota: u32) -> Vec<u64> {
+        let mut used: BTreeMap<u64, u32> = BTreeMap::new();
+        at_ns
+            .iter()
+            .map(|&ns| {
+                let orig = ns / NANOS_PER_SEC;
+                let mut sec = orig;
+                while used.get(&sec).copied().unwrap_or(0) >= quota {
+                    sec += 1;
+                }
+                *used.entry(sec).or_insert(0) += 1;
+                if sec == orig {
+                    ns
+                } else {
+                    sec * NANOS_PER_SEC
+                }
+            })
+            .collect()
+    }
+
+    fn smoothed(mut at_ns: Vec<u64>, quota: u32) -> Vec<u64> {
+        at_ns.sort_unstable();
+        let mut rows: Vec<Raw> = at_ns
+            .iter()
+            .enumerate()
+            .map(|(i, &at_ns)| Raw {
+                at_ns,
+                tidx: i as u32,
+                lane: 0,
+                bits: 0,
+                cat: SourceCategory::Loopback,
+            })
+            .collect();
+        smooth_lane(&mut rows, quota);
+        let want = first_fit(&at_ns, quota);
+        let got: Vec<u64> = rows.iter().map(|r| r.at_ns).collect();
+        assert_eq!(got, want, "quota {quota}, input {at_ns:?}");
+        got
+    }
+
+    #[test]
+    fn smoother_matches_first_fit_on_adversarial_lanes() {
+        let s = NANOS_PER_SEC;
+        // Quota 1, every row in one second: one row per second after it.
+        let got = smoothed(vec![5 * s + 7; 50], 1);
+        assert_eq!(got[0], 5 * s + 7);
+        assert_eq!(got[49], 54 * s);
+        // A burst, then rows whose own second lies inside its backlog,
+        // then rows after the backlog drains (kept at their own times).
+        let mut lane: Vec<u64> = (0..40).map(|i| 2 * s + i).collect();
+        lane.extend((3..12).map(|sec| sec * s + 500));
+        lane.extend([60 * s + 1, 60 * s + 2, 61 * s + 3]);
+        let got = smoothed(lane, 3);
+        assert_eq!(&got[got.len() - 3..], &[60 * s + 1, 60 * s + 2, 61 * s + 3]);
+        // Sparse gaps: isolated rows far apart never move.
+        let sparse: Vec<u64> = (0..20).map(|i| i * i * 1_000 * s + i).collect();
+        assert_eq!(smoothed(sparse.clone(), 1), sparse);
+        // Two backlogs with a gap that drains the first before the second.
+        let mut lane: Vec<u64> = vec![10 * s; 7];
+        lane.extend(vec![12 * s + 9; 7]);
+        lane.extend(vec![100 * s; 7]);
+        smoothed(lane, 2);
+        // Pseudo-random lanes over every small quota, bursty and sparse.
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        for quota in 1..=5 {
+            for spread in [3, 40, 400] {
+                let lane: Vec<u64> = (0..300)
+                    .map(|_| {
+                        x = bcd_netsim::hash::splitmix64(x);
+                        (x % spread) * s / 2 + x % 1_000
+                    })
+                    .collect();
+                smoothed(lane, quota);
+            }
+        }
+        assert!(smoothed(Vec::new(), 4).is_empty());
     }
 
     #[test]

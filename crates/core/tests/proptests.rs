@@ -2,12 +2,14 @@
 
 use bcd_core::analysis::ports::{adjust_windows_wrap, increasing_pattern, range_of};
 use bcd_core::qname::{Decoded, QnameCodec, SuffixKind};
-use bcd_core::scanner::ScannerStats;
+use bcd_core::scanner::{QueryWriter, ScannerStats};
 use bcd_core::schedule::Schedule;
 use bcd_core::shard::canonical_sort;
 use bcd_core::sources::{classify_source, SourceCategory, SourcePlan, MAX_OTHER_PREFIX};
 use bcd_core::targets::TargetSet;
 use bcd_dns::{LogProto, QueryLogEntry};
+use bcd_dnswire::{Message, Name, RType, WireWriter, MAX_NAME_WIRE_LEN};
+use bcd_netsim::hash::{fnv1a, FNV_OFFSET};
 use bcd_netsim::{Asn, Prefix, PrefixTable, SimDuration, SimTime};
 use bcd_netsim::{DropReason, Merge, NetCounters};
 use bcd_osmodel::ports::{IANA_HI, IANA_LO, WINDOWS_POOL_SIZE};
@@ -65,6 +67,176 @@ proptest! {
             other => prop_assert!(false, "decode failed: {:?}", other),
         }
     }
+
+}
+
+/// Timestamps: zero, past 2^53 (where an f64 detour would lose digits),
+/// and anything.
+fn edge_ts() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), (1u64 << 53)..=u64::MAX, any::<u64>()]
+}
+
+/// A v6 segment: all-zero, all-ones, a single hex digit, or anything.
+fn edge_segment() -> impl Strategy<Value = u16> {
+    prop_oneof![Just(0u16), Just(0xffffu16), 0u16..16, any::<u16>()]
+}
+
+/// Addresses of either family, with the all-zero / all-ones / `ffff`
+/// segment cases drawn often.
+fn edge_ip() -> impl Strategy<Value = IpAddr> {
+    prop_oneof![
+        Just(IpAddr::V4(Ipv4Addr::UNSPECIFIED)),
+        Just(IpAddr::V4(Ipv4Addr::BROADCAST)),
+        any_v4(),
+        Just(IpAddr::V6(Ipv6Addr::UNSPECIFIED)),
+        proptest::collection::vec(edge_segment(), 8).prop_map(|s| {
+            IpAddr::V6(Ipv6Addr::new(
+                s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
+            ))
+        }),
+        any_v6(),
+    ]
+}
+
+fn edge_asn() -> impl Strategy<Value = u32> {
+    prop_oneof![Just(0u32), Just(u32::MAX), any::<u32>()]
+}
+
+/// Experiment keywords: letters of either case, digits and dashes, plain
+/// or in the CRP pass's `{kw}crp` form.
+fn any_keyword() -> impl Strategy<Value = String> {
+    let alphabet: Vec<char> = "abcxyzABCXYZ0123456789-".chars().collect();
+    (
+        proptest::collection::vec(proptest::sample::select(alphabet), 1..=20),
+        any::<bool>(),
+    )
+        .prop_map(|(chars, crp)| {
+            let kw: String = chars.into_iter().collect();
+            if crp {
+                format!("{kw}crp")
+            } else {
+                kw
+            }
+        })
+}
+
+/// The `format!` / `Name::child` probe-name construction the wire writer
+/// replaced, kept as the reference it must match byte for byte.
+fn reference_name(
+    apex: &Name,
+    kw: &str,
+    ts: u64,
+    src: IpAddr,
+    dst: IpAddr,
+    asn: u32,
+    suffix: SuffixKind,
+) -> Name {
+    fn addr(ip: IpAddr) -> String {
+        match ip {
+            IpAddr::V4(a) => {
+                let o = a.octets();
+                format!("s{}-{}-{}-{}", o[0], o[1], o[2], o[3])
+            }
+            IpAddr::V6(a) => {
+                let s = a.segments();
+                format!(
+                    "s{:x}-{:x}-{:x}-{:x}-{:x}-{:x}-{:x}-{:x}",
+                    s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]
+                )
+            }
+        }
+    }
+    let zone = match suffix {
+        SuffixKind::Main => apex.clone(),
+        SuffixKind::F4 => apex.child("f4").unwrap(),
+        SuffixKind::F6 => apex.child("f6").unwrap(),
+        SuffixKind::Tcp => apex.child("tcp").unwrap(),
+    };
+    zone.child(kw.as_bytes())
+        .unwrap()
+        .child(format!("a{asn}").as_bytes())
+        .unwrap()
+        .child(addr(dst).replacen('s', "d", 1).as_bytes())
+        .unwrap()
+        .child(addr(src).as_bytes())
+        .unwrap()
+        .child(format!("t{ts}").as_bytes())
+        .unwrap()
+}
+
+/// The reference txid / source port / canonical text derivation: the
+/// `Name::canonical_into` bytes, FNV-folded after the salt, then `tag`.
+fn reference_ids(salt: u64, name: &Name, tag: &[u8]) -> (u16, u16, String) {
+    let mut canon = [0u8; MAX_NAME_WIRE_LEN];
+    let n = name.canonical_into(&mut canon);
+    let mut h = FNV_OFFSET;
+    fnv1a(&mut h, &salt.to_le_bytes());
+    fnv1a(&mut h, &canon[..n]);
+    fnv1a(&mut h, tag);
+    let text = String::from_utf8(canon[..n].to_vec()).unwrap();
+    ((h >> 32) as u16, 20_000 + (h % 40_000) as u16, text)
+}
+
+fn reference_query(txid: u16, name: Name) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    Message::query(txid, name, RType::A).encode_into(&mut w);
+    w.as_bytes().to_vec()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The scanner's query writer emits exactly the bytes of the old
+    /// `QnameCodec` name + `Message::query` path, with the same txid,
+    /// source port and canonical text, for probes and for the human
+    /// lookups that reuse a probe's name; the codec's `Name` built from the
+    /// writer's bytes still round-trips through `decode`.
+    #[test]
+    fn query_writer_matches_the_reference(
+        ts in edge_ts(),
+        src in edge_ip(),
+        dst in edge_ip(),
+        asn in edge_asn(),
+        suffix in any_suffix(),
+        kw in any_keyword(),
+        salt in any::<u64>(),
+    ) {
+        let apex: Name = "dns-lab.org".parse().unwrap();
+        let codec = QnameCodec::new(&apex, &kw);
+        let reference = reference_name(&apex, &kw, ts, src, dst, asn, suffix);
+        let name = codec.encode(SimTime::from_nanos(ts), src, dst, asn, suffix);
+        prop_assert_eq!(&name, &reference);
+        prop_assert_eq!(name.to_string(), reference.to_string());
+
+        let mut q = QueryWriter::default();
+        q.probe(&codec, salt, SimTime::from_nanos(ts), src, dst, asn, suffix);
+        let (txid, sport, canon) = reference_ids(salt, &reference, b"probe");
+        prop_assert_eq!(q.sport(), sport);
+        prop_assert_eq!(q.canonical(), canon.as_str());
+        prop_assert_eq!(q.bytes().to_vec(), reference_query(txid, reference.clone()));
+
+        let name_wire = q.name_wire().to_vec();
+        q.lookup(salt, &name_wire);
+        let (txid, sport, canon) = reference_ids(salt, &reference, b"");
+        prop_assert_eq!(q.sport(), sport);
+        prop_assert_eq!(q.canonical(), canon.as_str());
+        prop_assert_eq!(q.bytes().to_vec(), reference_query(txid, reference));
+
+        match codec.decode(&name) {
+            Decoded::Full(tag) => {
+                prop_assert_eq!(tag.ts.as_nanos(), ts);
+                prop_assert_eq!(tag.src, src);
+                prop_assert_eq!(tag.dst, dst);
+                prop_assert_eq!(tag.asn, asn);
+                prop_assert_eq!(tag.suffix, suffix);
+            }
+            other => prop_assert!(false, "decode failed: {:?}", other),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The wrap adjustment never *increases* an in-pool range beyond the
     /// Windows pool size, never fires for samples outside the IANA range,

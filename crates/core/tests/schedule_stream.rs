@@ -37,9 +37,14 @@ use std::net::IpAddr;
 /// A routed multi-AS population: `n_asns` ASes each announcing a /16 and
 /// contributing `per_asn` sorted candidate addresses.
 fn population(n_asns: usize, per_asn: usize) -> (TargetSet, PrefixTable) {
+    population_sized(&vec![per_asn; n_asns])
+}
+
+/// As [`population`], with AS `a` contributing `sizes[a]` candidates.
+fn population_sized(sizes: &[usize]) -> (TargetSet, PrefixTable) {
     let mut routes = PrefixTable::new();
     let mut candidates: Vec<IpAddr> = Vec::new();
-    for a in 0..n_asns {
+    for (a, &per_asn) in sizes.iter().enumerate() {
         // 60.x/61.x — well clear of every special-purpose range the
         // target extractor excludes (10/8 would empty the whole set).
         let net = 60 + a / 200;
@@ -147,6 +152,55 @@ fn streaming_equals_global_oracle_across_shard_counts() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn skewed_lane_streams_equal_to_global_oracle() {
+    // One AS holds most of the population, so its lane spills a backlog
+    // many times the window long while the other lanes barely queue:
+    // rows land inside that backlog, behind it, and in lanes that never
+    // spill. The streaming build's per-lane smoother must still equal
+    // the global oracle's per-(lane, second) table.
+    let mut sizes = vec![2usize; 12];
+    sizes[5] = 60;
+    let (targets, routes) = population_sized(&sizes);
+    let (seed, rate) = (13u64, 700u32);
+    let lanes = schedule::lane_count(rate);
+    let census = schedule::census(
+        &targets,
+        &routes,
+        &Hitlist::default(),
+        None,
+        lanes,
+        seed,
+        None,
+    );
+    let heavy = *census.lane_counts.iter().max().unwrap();
+    assert!(
+        heavy * 2 > census.total,
+        "one lane must dominate: {heavy} of {}",
+        census.total
+    );
+    let window = SimDuration::from_secs(20);
+    let layout = LaneLayout::new(rate, window, census.total, seed, None);
+    let oracle = Schedule::build_global(
+        &targets,
+        &routes,
+        &Hitlist::default(),
+        None,
+        &census,
+        &layout,
+    );
+    assert!(
+        oracle.end.as_secs() > 10 * window.as_secs(),
+        "the heavy lane must spill far past the window (end {})",
+        oracle.end
+    );
+    for shards in [1usize, 4] {
+        let (parts, lane_shard) = build_streamed(&targets, &routes, &census, &layout, shards);
+        let oracle_parts = oracle.partition_by_lane(&targets, &lane_shard, parts.len());
+        assert_eq!(parts, oracle_parts, "S={shards}: streamed parts != oracle");
     }
 }
 
