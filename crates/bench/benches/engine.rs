@@ -2,7 +2,7 @@
 //! event-processing cost including border checks and delivery.
 
 use bcd_netsim::{
-    Asn, BorderPolicy, HostConfig, Network, NetworkConfig, Node, NodeCtx, Packet, StackPolicy,
+    Asn, BorderPolicy, HostConfig, NetworkConfig, Node, NodeCtx, Packet, Runtime, StackPolicy,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::net::IpAddr;
@@ -26,7 +26,7 @@ impl Node for Pinger {
 }
 
 fn run_pingpong(rounds: u64) -> u64 {
-    let mut net = Network::new(NetworkConfig::default());
+    let mut net = Runtime::builder(NetworkConfig::default());
     net.add_simple_as(Asn(1), BorderPolicy::open());
     net.add_simple_as(Asn(2), BorderPolicy::open());
     net.announce("16.0.0.0/24".parse().unwrap(), Asn(1));
@@ -57,6 +57,7 @@ fn run_pingpong(rounds: u64) -> u64 {
             remaining: rounds,
         }),
     );
+    let mut net = net.into_runtime();
     net.run();
     net.events_processed()
 }

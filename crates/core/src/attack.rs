@@ -24,7 +24,7 @@ use bcd_dns::{
 };
 use bcd_dnswire::{Message, Name, RCode, RData, RType, Record};
 use bcd_netsim::{
-    Asn, BorderPolicy, HostConfig, Network, NetworkConfig, Node, NodeCtx, Packet, SimDuration,
+    Asn, BorderPolicy, HostConfig, NetworkConfig, Node, NodeCtx, Packet, Runtime, SimDuration,
     StackPolicy,
 };
 use bcd_osmodel::{Os, PortAllocator};
@@ -137,7 +137,7 @@ impl Node for Attacker {
 
 /// Run the attack in a dedicated mini-world and report the outcome.
 pub fn run_poisoning_attack(cfg: PoisonConfig) -> PoisonOutcome {
-    let mut net = Network::new(NetworkConfig {
+    let mut net = Runtime::builder(NetworkConfig {
         seed: cfg.seed,
         // The attacker wins the race against a wide-area authority: forged
         // packets arrive while the genuine answer is still in flight.
@@ -198,7 +198,6 @@ pub fn run_poisoning_attack(cfg: PoisonConfig) -> PoisonOutcome {
             root_hints: vec![auth_addr].into(),
             timeout: SimDuration::from_secs(2),
             max_attempts: 3,
-            warmup: Vec::new(),
             identity_draw_salt: None,
             preload_cuts: Vec::new().into(),
         })),
@@ -223,6 +222,7 @@ pub fn run_poisoning_attack(cfg: PoisonConfig) -> PoisonOutcome {
         }),
     );
 
+    let mut net = net.into_runtime();
     net.run();
     let forged_total = net.node::<Attacker>(attacker_id).unwrap().forged_sent;
 

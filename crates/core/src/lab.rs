@@ -14,9 +14,8 @@ use bcd_dns::{
     ZoneMode,
 };
 use bcd_dnswire::{Name, RType};
-use bcd_netsim::node::SinkNode;
 use bcd_netsim::{
-    Asn, BorderPolicy, HostConfig, Network, NetworkConfig, Node, NodeCtx, Packet, Prefix,
+    Asn, BorderPolicy, HostConfig, NetworkConfig, Node, NodeCtx, Packet, Prefix, Runtime,
     SimDuration, StackPolicy,
 };
 use bcd_osmodel::{DnsSoftware, Os};
@@ -72,7 +71,7 @@ fn lab_ip(i: u128) -> IpAddr {
 /// observe the upstream source ports — one row of Table 5.
 pub fn measure_ports(software: DnsSoftware, os: Os, n_queries: usize, seed: u64) -> LabPortResult {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut net = Network::new(NetworkConfig {
+    let mut net = Runtime::builder(NetworkConfig {
         seed,
         core_delay: LAB_DELAY,
         ..Default::default()
@@ -124,7 +123,6 @@ pub fn measure_ports(software: DnsSoftware, os: Os, n_queries: usize, seed: u64)
             root_hints: vec![auth_addr].into(),
             timeout: SimDuration::from_secs(2),
             max_attempts: 3,
-            warmup: Vec::new(),
             identity_draw_salt: None,
             preload_cuts: Vec::new().into(),
         })),
@@ -147,7 +145,7 @@ pub fn measure_ports(software: DnsSoftware, os: Os, n_queries: usize, seed: u64)
         Box::new(StubClient::new(client_addr, queries)),
     );
 
-    net.run();
+    net.into_runtime().run();
 
     // Ports of queries arriving from the resolver, in arrival order;
     // skip the root/lab infrastructure warm-up queries for `lab.test`
@@ -250,7 +248,7 @@ pub fn table6() -> Vec<StackRow> {
     Os::ALL
         .iter()
         .map(|&os| {
-            let mut net = Network::new(NetworkConfig {
+            let mut net = Runtime::builder(NetworkConfig {
                 seed: 7,
                 core_delay: LAB_DELAY,
                 ..Default::default()
@@ -309,6 +307,7 @@ pub fn table6() -> Vec<StackRow> {
                 },
                 Box::new(Sender { host_v4, host_v6 }),
             );
+            let mut net = net.into_runtime();
             net.run();
             let hits = &net.node::<Recorder>(probe).unwrap().hits;
             StackRow {
@@ -321,11 +320,6 @@ pub fn table6() -> Vec<StackRow> {
         })
         .collect()
 }
-
-// SinkNode is pulled in to keep the lab harness's imports aligned with the
-// rest of the crate; it is used by example scenarios.
-#[allow(unused)]
-fn _sink_type_check(_s: SinkNode) {}
 
 #[cfg(test)]
 mod tests {

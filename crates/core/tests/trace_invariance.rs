@@ -194,12 +194,12 @@ fn sampled_query_trace_render_matches_golden_snapshot() {
     let flight = data.flight.as_ref().unwrap();
     // The lowest trace id is a stable, layout-free choice of exemplar;
     // prefer one with a multi-hop chain so the render shows causality.
+    // `by_trace` lists ids ascending, so the first match is the lowest.
     let id = flight
-        .traces()
-        .iter()
-        .copied()
-        .filter(|&t| flight.trace_spans(t).len() >= 4)
-        .min()
+        .by_trace()
+        .into_iter()
+        .find(|(_, spans)| spans.len() >= 4)
+        .map(|(id, _)| id)
         .expect("at least one multi-span trace");
     let actual = flight.render_trace(id);
     let path = golden_path("trace_render");

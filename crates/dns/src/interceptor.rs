@@ -8,9 +8,9 @@
 //! query then arrives from Cloudflare/Google/etc. instead of the target AS.
 //!
 //! The engine redirects UDP/53 entering an AS to this node (see
-//! [`bcd_netsim::Network::set_dns_interceptor`]); the node proxies to its
-//! upstream and relays the answer with the original destination spoofed as
-//! the response source, like real intercepting middleboxes do.
+//! [`bcd_netsim::TopologyBuilder::set_dns_interceptor`]); the node proxies
+//! to its upstream and relays the answer with the original destination
+//! spoofed as the response source, like real intercepting middleboxes do.
 
 use bcd_dnswire::MessageView;
 use bcd_netsim::{Node, NodeCtx, Packet, Transport};

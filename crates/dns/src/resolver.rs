@@ -87,9 +87,6 @@ pub struct ResolverConfig {
     pub timeout: SimDuration,
     /// Total upstream attempts per stage before SERVFAIL.
     pub max_attempts: u8,
-    /// Self-initiated background queries `(delay after start, name, type)` —
-    /// these are what the root servers' DITL collection sees (§3.1).
-    pub warmup: Vec<(SimDuration, Name, RType)>,
     /// When set, upstream txid and source-port draws are derived from the
     /// *identity* of the pending query (name, stage, attempt, client) mixed
     /// with this salt, instead of consuming the host RNG stream in sequence.
@@ -131,7 +128,6 @@ impl ResolverConfig {
             root_hints: root_hints.into(),
             timeout: SimDuration::from_secs(2),
             max_attempts: 3,
-            warmup: Vec::new(),
             identity_draw_salt: None,
             preload_cuts: Vec::new().into(),
         }
@@ -174,7 +170,7 @@ enum TcpPhase {
 
 #[derive(Debug)]
 struct Pending {
-    client: Option<ClientRef>,
+    client: ClientRef,
     qname: Name,
     qtype: RType,
     /// Forward mode (true) vs. iterative.
@@ -191,9 +187,6 @@ struct Pending {
     server: Option<IpAddr>,
     attempts: u8,
     tcp: Option<TcpPhase>,
-    /// Causal trace id inherited from the client query (0 for warm-up
-    /// resolutions, which repeat per shard and must stay untraced).
-    trace: u64,
 }
 
 /// The recursive resolver node.
@@ -217,7 +210,6 @@ pub struct RecursiveResolver {
     pub stats: ResolverStats,
 }
 
-const WARMUP_BIT: u64 = 1 << 63;
 const ANSWER_TTL_SECS: u64 = 60;
 const CUT_TTL_SECS: u64 = 86_400;
 
@@ -264,14 +256,9 @@ fn identity_rng(salt: u64, p: &Pending) -> rand_chacha::ChaCha8Rng {
     eat(p.current_qname.to_string().as_bytes());
     eat(&p.qtype.to_u16().to_le_bytes());
     eat(&[p.attempts, p.tcp.is_some() as u8, p.forwarding as u8]);
-    match &p.client {
-        Some(c) => {
-            eat(c.addr.to_string().as_bytes());
-            eat(&c.port.to_le_bytes());
-            eat(&c.txid.to_le_bytes());
-        }
-        None => eat(b"warmup"),
-    }
+    eat(p.client.addr.to_string().as_bytes());
+    eat(&p.client.port.to_le_bytes());
+    eat(&p.client.txid.to_le_bytes());
     rand_chacha::ChaCha8Rng::seed_from_u64(bcd_netsim::stream_seed(salt, h))
 }
 
@@ -362,13 +349,12 @@ impl RecursiveResolver {
     fn start_resolution(
         &mut self,
         ctx: &mut NodeCtx<'_>,
-        client: Option<ClientRef>,
+        client: ClientRef,
         qname: Name,
         qtype: RType,
     ) {
         let id = self.next_id;
         self.next_id += 1;
-        let trace = client.as_ref().map_or(0, |c| c.trace);
 
         if let Some(upstream) = self.cfg.forward_to {
             let p = Pending {
@@ -384,7 +370,6 @@ impl RecursiveResolver {
                 server: None,
                 attempts: 0,
                 tcp: None,
-                trace,
             };
             self.pending.insert(id, p);
             self.send_upstream(ctx, id);
@@ -414,7 +399,6 @@ impl RecursiveResolver {
             server: None,
             attempts: 0,
             tcp: None,
-            trace,
         };
         self.pending.insert(id, p);
         self.send_upstream(ctx, id);
@@ -476,7 +460,7 @@ impl RecursiveResolver {
             let p = self.pending.get_mut(&id).unwrap();
             p.tcp = Some(TcpPhase::SynSent);
             self.stats.tcp_retries += 1;
-            ctx.span(p.trace, SpanKind::Upstream, || {
+            ctx.span(p.client.trace, SpanKind::Upstream, || {
                 format!(
                     "tcp syn {} -> {} (stage retried over tcp)",
                     our_addr, server
@@ -485,10 +469,10 @@ impl RecursiveResolver {
             ctx.send(
                 Packet::tcp(our_addr, server, seg)
                     .with_ttl(sig.ittl)
-                    .with_trace(p.trace),
+                    .with_trace(p.client.trace),
             );
         } else {
-            ctx.span(p.trace, SpanKind::Upstream, || {
+            ctx.span(p.client.trace, SpanKind::Upstream, || {
                 format!(
                     "{} {} {:?} -> {} zone={} attempt={}",
                     if p.forwarding { "forward" } else { "query" },
@@ -503,7 +487,7 @@ impl RecursiveResolver {
             ctx.send(
                 Packet::udp(our_addr, server, sport, 53, self.scratch.as_bytes())
                     .with_ttl(self.cfg.os.initial_ttl())
-                    .with_trace(p.trace),
+                    .with_trace(p.client.trace),
             );
         }
         let attempts = self.pending.get(&id).unwrap().attempts;
@@ -514,15 +498,13 @@ impl RecursiveResolver {
         if let Some(p) = self.pending.remove(&id) {
             self.by_key.remove(&(p.txid, p.sport));
             self.stats.servfail += 1;
-            ctx.span(p.trace, SpanKind::Validate, || {
+            ctx.span(p.client.trace, SpanKind::Validate, || {
                 format!(
                     "resolution of {} abandoned after {} attempts -> SERVFAIL",
                     p.qname, p.attempts
                 )
             });
-            if let Some(client) = p.client {
-                self.respond_rcode(ctx, client, p.qname, p.qtype, RCode::ServFail, vec![]);
-            }
+            self.respond_rcode(ctx, p.client, p.qname, p.qtype, RCode::ServFail, vec![]);
         }
     }
 
@@ -531,7 +513,7 @@ impl RecursiveResolver {
             return;
         };
         self.by_key.remove(&(p.txid, p.sport));
-        ctx.span(p.trace, SpanKind::Validate, || {
+        ctx.span(p.client.trace, SpanKind::Validate, || {
             format!(
                 "final {:?} for {} ({} answers, cached)",
                 resp.header.rcode,
@@ -556,16 +538,14 @@ impl RecursiveResolver {
                 );
             }
         }
-        if let Some(client) = p.client {
-            self.respond_rcode(
-                ctx,
-                client,
-                p.qname,
-                p.qtype,
-                resp.header.rcode,
-                resp.answers.clone(),
-            );
-        }
+        self.respond_rcode(
+            ctx,
+            p.client,
+            p.qname,
+            p.qtype,
+            resp.header.rcode,
+            resp.answers.clone(),
+        );
     }
 
     /// Interpret an upstream response for pending query `id`.
@@ -576,7 +556,7 @@ impl RecursiveResolver {
 
         // Truncated: retry this stage over TCP.
         if resp.header.tc && p.tcp.is_none() {
-            ctx.span(p.trace, SpanKind::Validate, || {
+            ctx.span(p.client.trace, SpanKind::Validate, || {
                 "tc=1 -> retry stage over tcp".to_string()
             });
             p.tcp = Some(TcpPhase::SynSent);
@@ -623,7 +603,7 @@ impl RecursiveResolver {
                 glue.clone(),
                 ctx.now() + SimDuration::from_secs(CUT_TTL_SECS),
             );
-            ctx.span(p.trace, SpanKind::Validate, || {
+            ctx.span(p.client.trace, SpanKind::Validate, || {
                 format!("referral to zone {} ({} glue addrs)", cut, glue.len())
             });
             p.zone = cut;
@@ -648,7 +628,7 @@ impl RecursiveResolver {
                     // a minimizing resolver stops here — the full QNAME is
                     // never sent (§3.6.4).
                     if !at_full_name {
-                        ctx.span(p.trace, SpanKind::Validate, || {
+                        ctx.span(p.client.trace, SpanKind::Validate, || {
                             format!(
                                 "nxdomain at {} -> halt, full qname withheld (rfc 8020)",
                                 p.current_qname
@@ -659,7 +639,7 @@ impl RecursiveResolver {
                 } else {
                     // Some implementations ignore the implication and press
                     // on with the full name.
-                    ctx.span(p.trace, SpanKind::Validate, || {
+                    ctx.span(p.client.trace, SpanKind::Validate, || {
                         format!(
                             "nxdomain at {} -> press on with full qname",
                             p.current_qname
@@ -675,7 +655,7 @@ impl RecursiveResolver {
                 // Intermediate label exists; extend by one label.
                 let next_len = p.current_qname.label_count() + 1;
                 p.current_qname = p.qname.suffix(next_len.min(p.qname.label_count()));
-                ctx.span(p.trace, SpanKind::Validate, || {
+                ctx.span(p.client.trace, SpanKind::Validate, || {
                     format!("qmin step -> {}", p.current_qname)
                 });
                 p.attempts = 0;
@@ -685,7 +665,7 @@ impl RecursiveResolver {
             RCode::NoError => self.finish_answer(ctx, id, &resp),
             RCode::Refused | RCode::ServFail => {
                 // Try another server / give up.
-                ctx.span(p.trace, SpanKind::Validate, || {
+                ctx.span(p.client.trace, SpanKind::Validate, || {
                     format!("upstream {:?} -> rotate server", resp.header.rcode)
                 });
                 p.attempts = p.attempts.saturating_add(1);
@@ -751,7 +731,7 @@ impl RecursiveResolver {
             self.cache.evict_expired(ctx.now());
         }
 
-        self.start_resolution(ctx, Some(client), q.name, q.rtype);
+        self.start_resolution(ctx, client, q.name, q.rtype);
     }
 
     fn handle_upstream_udp(&mut self, ctx: &mut NodeCtx<'_>, pkt: &Packet, resp: Message) {
@@ -805,7 +785,7 @@ impl RecursiveResolver {
                 RType::A
             };
             let query = Message::query(p.txid, p.current_qname.clone(), qtype);
-            let (sport, server, trace) = (p.sport, p.server.unwrap(), p.trace);
+            let (sport, server, trace) = (p.sport, p.server.unwrap(), p.client.trace);
             let our_addr = self.our_addr_for(server).unwrap();
             query.encode_into(&mut self.scratch);
             ctx.send(
@@ -849,12 +829,6 @@ impl RecursiveResolver {
 }
 
 impl Node for RecursiveResolver {
-    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        for (i, (delay, _, _)) in self.cfg.warmup.iter().enumerate() {
-            ctx.set_timer(*delay, WARMUP_BIT | i as u64);
-        }
-    }
-
     fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, pkt: Packet) {
         match &pkt.transport {
             Transport::Udp(u) => {
@@ -875,15 +849,6 @@ impl Node for RecursiveResolver {
     }
 
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
-        if token & WARMUP_BIT != 0 {
-            let idx = (token & !WARMUP_BIT) as usize;
-            if let Some((_, name, rtype)) = self.cfg.warmup.get(idx).cloned() {
-                if self.cache.get_answer(&name, rtype, ctx.now()).is_none() {
-                    self.start_resolution(ctx, None, name, rtype);
-                }
-            }
-            return;
-        }
         let id = token >> 8;
         let attempt = (token & 0xFF) as u8;
         let Some(p) = self.pending.get_mut(&id) else {

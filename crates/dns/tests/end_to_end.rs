@@ -10,7 +10,7 @@ use bcd_dns::{
 };
 use bcd_dnswire::{Name, RCode, RType};
 use bcd_netsim::{
-    Asn, BorderPolicy, HostConfig, Network, NetworkConfig, Prefix, SimDuration, StackPolicy,
+    Asn, BorderPolicy, HostConfig, NetworkConfig, Prefix, Runtime, SimDuration, StackPolicy,
 };
 use bcd_osmodel::{DnsSoftware, Os};
 use std::net::IpAddr;
@@ -38,8 +38,8 @@ const CLIENT: &str = "192.0.2.9";
 fn build_world(
     resolver_cfg_mut: impl FnOnce(&mut ResolverConfig),
     stub_queries: Vec<StubQuery>,
-) -> (Network, SharedLog, usize, usize) {
-    let mut net = Network::new(NetworkConfig {
+) -> (Runtime, SharedLog, usize, usize) {
+    let mut net = Runtime::builder(NetworkConfig {
         seed: 42,
         ..Default::default()
     });
@@ -129,7 +129,7 @@ fn build_world(
         },
         Box::new(StubClient::new(ip(CLIENT), stub_queries)),
     );
-    (net, log, resolver_id, stub_id)
+    (net.into_runtime(), log, resolver_id, stub_id)
 }
 
 fn q(at_secs: u64, name: &str) -> StubQuery {
@@ -342,7 +342,7 @@ fn forwarder_sends_through_upstream() {
         },
         vec![q(1, "ts1.fw.kw.dns-lab.org")],
     );
-    // Add the upstream open resolver.
+    // Add the upstream open resolver (a host of this runtime only).
     net.add_host(
         HostConfig {
             addrs: vec![ip(upstream_addr)],

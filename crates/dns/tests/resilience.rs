@@ -9,8 +9,8 @@ use bcd_dns::{
 };
 use bcd_dnswire::{Name, RCode, RType};
 use bcd_netsim::{
-    Asn, BorderPolicy, ChaosConfig, ChaosProfile, FaultDomain, FaultSchedule, HostConfig, Network,
-    NetworkConfig, Prefix, SimDuration, StackPolicy,
+    Asn, BorderPolicy, ChaosConfig, ChaosProfile, FaultDomain, FaultSchedule, HostConfig,
+    NetworkConfig, Prefix, Runtime, SimDuration, StackPolicy,
 };
 use bcd_osmodel::Os;
 use std::net::IpAddr;
@@ -29,7 +29,7 @@ fn pre(s: &str) -> Prefix {
 }
 
 /// Arm a chaos fault schedule over both ASes of a two-AS test world.
-fn arm_faults(net: &mut Network, seed: u64, name: &str, profile: ChaosProfile) {
+fn arm_faults(net: &mut Runtime, seed: u64, name: &str, profile: ChaosProfile) {
     let domain = FaultDomain {
         asns: vec![Asn(1), Asn(2)],
         crash_hosts: vec![],
@@ -45,13 +45,12 @@ fn world(
     seed: u64,
     faults: ChaosProfile,
     queries: Vec<StubQuery>,
-) -> (Network, SharedLog, usize, usize) {
-    let mut net = Network::new(NetworkConfig {
+) -> (Runtime, SharedLog, usize, usize) {
+    let mut net = Runtime::builder(NetworkConfig {
         seed,
         core_delay: SimDuration::from_millis(40),
         ..Default::default()
     });
-    arm_faults(&mut net, seed, "lossy-path", faults);
     net.add_simple_as(Asn(1), BorderPolicy::strict());
     net.add_simple_as(Asn(2), BorderPolicy::open());
     net.announce(pre("20.0.0.0/24"), Asn(1));
@@ -92,6 +91,8 @@ fn world(
         },
         Box::new(StubClient::new(ip("21.0.0.9"), queries)),
     );
+    let mut net = net.into_runtime();
+    arm_faults(&mut net, seed, "lossy-path", faults);
     (net, log, resolver, stub)
 }
 
@@ -152,7 +153,7 @@ fn retransmission_recovers_from_heavy_loss() {
 fn refused_upstream_rotates_to_working_server() {
     // Zone delegated to two servers; the first REFUSES (serves nothing for
     // the zone), the second answers. The resolver must rotate.
-    let mut net = Network::new(NetworkConfig {
+    let mut net = Runtime::builder(NetworkConfig {
         seed: 3,
         ..Default::default()
     });
@@ -215,6 +216,7 @@ fn refused_upstream_rotates_to_working_server() {
         },
         Box::new(StubClient::new(ip("21.0.0.9"), queries)),
     );
+    let mut net = net.into_runtime();
     net.run();
     let stub_node = net.node::<StubClient>(stub).unwrap();
     let ok = stub_node
@@ -230,7 +232,7 @@ fn refused_upstream_rotates_to_working_server() {
 fn middlebox_intercepts_inside_the_engine() {
     // Full in-engine interception: external client queries a *nonexistent*
     // internal resolver; the AS's middlebox answers via a public upstream.
-    let mut net = Network::new(NetworkConfig {
+    let mut net = Runtime::builder(NetworkConfig {
         seed: 4,
         ..Default::default()
     });
@@ -297,6 +299,7 @@ fn middlebox_intercepts_inside_the_engine() {
             }],
         )),
     );
+    let mut net = net.into_runtime();
     net.run();
     // The client got an answer that *looks* like it came from 21.0.0.53.
     let stub_node = net.node::<StubClient>(stub).unwrap();
@@ -313,7 +316,7 @@ fn middlebox_intercepts_inside_the_engine() {
 fn negative_cache_suppresses_repeat_upstream_traffic() {
     // Same NXDOMAIN name queried twice in quick succession: the second is
     // served from the negative cache.
-    let mut net = Network::new(NetworkConfig {
+    let mut net = Runtime::builder(NetworkConfig {
         seed: 5,
         ..Default::default()
     });
@@ -359,6 +362,7 @@ fn negative_cache_suppresses_repeat_upstream_traffic() {
             vec![q(1, "gone.zone.test"), q(5, "gone.zone.test")],
         )),
     );
+    let mut net = net.into_runtime();
     net.run();
     let stub_node = net.node::<StubClient>(stub).unwrap();
     assert_eq!(stub_node.responses.len(), 2);
@@ -378,7 +382,7 @@ fn duplicated_tcp_answer_does_not_panic_the_resolver() {
     // duplication fault schedule replays every inter-AS packet twice, so
     // the TCP answer to a TC-forced retry is guaranteed to arrive again
     // after the transaction completed.
-    let mut net = Network::new(NetworkConfig {
+    let mut net = Runtime::builder(NetworkConfig {
         seed: 6,
         ..Default::default()
     });
@@ -428,6 +432,7 @@ fn duplicated_tcp_answer_does_not_panic_the_resolver() {
                 .collect(),
         )),
     );
+    let mut net = net.into_runtime();
     arm_faults(
         &mut net,
         7,

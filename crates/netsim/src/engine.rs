@@ -15,10 +15,12 @@
 //!   recorder. A runtime is cheap to instantiate from a shared topology;
 //!   each shard gets its own.
 //!
-//! [`Network`] bundles the two for the common single-engine case and keeps
-//! the classic build-then-run API (`add_as` / `announce` / `add_host` /
-//! `run`): it owns its topology exclusively, so construction mutates it in
-//! place with no copying.
+//! [`TopologyBuilder`] is the one way to register ASes, prefixes,
+//! interceptors and hosts. Each host carries one payload, in host-id
+//! order: the world generator passes a node blueprint and spawns runtimes
+//! from the frozen topology later; a single-engine world passes the
+//! [`Node`] itself ([`Runtime::builder`]) and gets its runtime from
+//! [`TopologyBuilder::into_runtime`].
 //!
 //! The packet pipeline models exactly the two border crossings the paper
 //! cares about (§1):
@@ -125,8 +127,8 @@ pub fn subnet_permille(asn: Asn, src: IpAddr) -> u64 {
 /// A `Topology` holds no run state — no clocks, queues, node behaviour, or
 /// RNGs — so it is `Send + Sync` and can back any number of concurrent
 /// [`Runtime`]s through an `Arc`. All accessors are read-only; the only way
-/// to shape a topology is through a [`TopologyBuilder`] (or a [`Network`],
-/// which owns its topology exclusively).
+/// to shape a topology is through a [`TopologyBuilder`].
+///
 /// The host table is struct-of-arrays: per-host attributes live in
 /// parallel `Vec`s indexed by dense [`HostId`], and the address → host map
 /// is one sorted `Vec` searched by binary search. At internet scale
@@ -148,15 +150,16 @@ pub struct Topology {
     addr_start: Vec<u32>,
     /// `(address, host)` pairs, sorted by address once sealed; lookups are
     /// binary searches. The builder appends unsorted and sorts in
-    /// `finish`; a [`Network`] (exclusively owned, test-scale) inserts in
-    /// sorted position per host.
+    /// `finish`.
     ip_index: Vec<(IpAddr, u32)>,
 }
 
 impl Topology {
-    /// Start building a topology with the given engine configuration.
-    pub fn builder(cfg: NetworkConfig) -> TopologyBuilder {
+    /// Start building a topology with the given engine configuration;
+    /// each host carries one payload of type `P`.
+    pub fn builder<P>(cfg: NetworkConfig) -> TopologyBuilder<P> {
         TopologyBuilder {
+            payloads: Vec::new(),
             topo: Topology {
                 cfg,
                 ases: BTreeMap::new(),
@@ -216,7 +219,7 @@ impl Topology {
     }
 
     /// The host bound to `addr`, if any. The index must be sealed (it is
-    /// for any topology obtained from `finish` or owned by a `Network`).
+    /// for any topology obtained from `finish`).
     pub fn host_for_ip(&self, addr: IpAddr) -> Option<HostId> {
         self.ip_index
             .binary_search_by(|(a, _)| a.cmp(&addr))
@@ -254,42 +257,17 @@ impl Topology {
     }
 
     /// Append a host's static attributes into the SoA columns; returns its
-    /// id. The address index entries are appended *unsorted* — callers
-    /// either seal afterwards (builder) or keep the index sorted
-    /// themselves (`bind_host_sorted`).
-    fn push_host(&mut self, cfg: HostConfig) -> HostId {
+    /// id. Index entries append unsorted (O(1) per address); `seal` sorts
+    /// once and rejects duplicates.
+    fn bind_host(&mut self, cfg: HostConfig) -> HostId {
         let id = self.host_asn.len();
         self.host_asn.push(cfg.asn);
         self.host_stack.push(cfg.stack);
-        self.addrs.extend(cfg.addrs.iter().copied());
+        for &a in &cfg.addrs {
+            self.addrs.push(a);
+            self.ip_index.push((a, id as u32));
+        }
         self.addr_start.push(self.addrs.len() as u32);
-        id
-    }
-
-    /// Register a host during bulk building: index entries append unsorted
-    /// (O(1) per address); `seal` sorts once and rejects duplicates.
-    fn bind_host(&mut self, cfg: HostConfig) -> HostId {
-        let start = self.addrs.len();
-        let id = self.push_host(cfg);
-        for i in start..self.addrs.len() {
-            self.ip_index.push((self.addrs[i], id as u32));
-        }
-        id
-    }
-
-    /// Register a host keeping the address index sorted (used by
-    /// [`Network`], whose topologies stay test-scale). Panics on a
-    /// duplicate address binding.
-    fn bind_host_sorted(&mut self, cfg: HostConfig) -> HostId {
-        let start = self.addrs.len();
-        let id = self.push_host(cfg);
-        for i in start..self.addrs.len() {
-            let a = self.addrs[i];
-            match self.ip_index.binary_search_by(|(x, _)| x.cmp(&a)) {
-                Ok(_) => panic!("address {a} bound twice"),
-                Err(pos) => self.ip_index.insert(pos, (a, id as u32)),
-            }
-        }
         id
     }
 
@@ -303,13 +281,15 @@ impl Topology {
     }
 }
 
-/// Write access to a [`Topology`] under construction. `finish` freezes it;
-/// after that the only handle is immutable.
-pub struct TopologyBuilder {
+/// Write access to a [`Topology`] under construction, plus one payload per
+/// host in host-id order. `finish` freezes the topology and hands the
+/// payloads back; after that the only topology handle is immutable.
+pub struct TopologyBuilder<P> {
     topo: Topology,
+    payloads: Vec<P>,
 }
 
-impl TopologyBuilder {
+impl<P> TopologyBuilder<P> {
     /// Register an AS. Panics if the ASN is already registered.
     pub fn add_as(&mut self, info: AsInfo) {
         let prev = self.topo.ases.insert(info.asn.0, info);
@@ -330,9 +310,10 @@ impl TopologyBuilder {
         self.topo.routes.announce(prefix, asn);
     }
 
-    /// Register a host slot (behaviour is supplied later, per runtime, as a
-    /// [`Node`]); returns its id. All its addresses become deliverable.
-    pub fn add_host(&mut self, cfg: HostConfig) -> HostId {
+    /// Register a host with its payload; returns its id. All its addresses
+    /// become deliverable once the topology is finished.
+    pub fn add_host(&mut self, cfg: HostConfig, payload: P) -> HostId {
+        self.payloads.push(payload);
         self.topo.bind_host(cfg)
     }
 
@@ -352,10 +333,19 @@ impl TopologyBuilder {
     }
 
     /// Freeze the topology: sort the address index (rejecting duplicate
-    /// bindings) and hand out the immutable result.
-    pub fn finish(mut self) -> Topology {
+    /// bindings) and hand out the immutable result with the host payloads,
+    /// indexed by host id.
+    pub fn finish(mut self) -> (Topology, Vec<P>) {
         self.topo.seal();
-        self.topo
+        (self.topo, self.payloads)
+    }
+}
+
+impl TopologyBuilder<Box<dyn Node>> {
+    /// Freeze the topology and run its nodes on one runtime that owns it.
+    pub fn into_runtime(self) -> Runtime {
+        let (topo, nodes) = self.finish();
+        Runtime::new(Arc::new(topo), nodes)
     }
 }
 
@@ -410,11 +400,16 @@ pub struct Runtime {
 }
 
 impl Runtime {
+    /// A topology builder whose host payloads are the hosts' nodes; finish
+    /// it with [`TopologyBuilder::into_runtime`].
+    pub fn builder(cfg: NetworkConfig) -> TopologyBuilder<Box<dyn Node>> {
+        Topology::builder(cfg)
+    }
+
     /// Instantiate a runtime over a shared topology. `nodes` supplies the
     /// behaviour for every topology host, in host-id order; host `i`'s RNG
-    /// stream is seeded `stream_seed(seed, i)` exactly as it would be on a
-    /// freshly built [`Network`], so a runtime over a rebuilt-equivalent
-    /// topology reproduces the same run byte for byte.
+    /// stream is seeded `stream_seed(seed, i)`, so a runtime over a
+    /// rebuilt-equivalent topology reproduces the same run byte for byte.
     pub fn new(topo: Arc<Topology>, nodes: Vec<Box<dyn Node>>) -> Runtime {
         assert_eq!(
             nodes.len(),
@@ -1085,101 +1080,13 @@ impl Runtime {
     }
 }
 
-/// The simulated Internet: one [`Topology`] plus one [`Runtime`], with the
-/// classic build-then-run API.
-///
-/// `Network` owns its topology exclusively (its `Arc` is never shared), so
-/// the mutating builder methods (`add_as`, `announce`, `add_host`, ...)
-/// edit it in place at zero cost. Everything else — running, counters,
-/// node access — comes from the embedded [`Runtime`] via `Deref`.
-///
-/// To share one world across engines, build the topology with a
-/// [`TopologyBuilder`] instead and spawn [`Runtime`]s from the `Arc`.
-pub struct Network {
-    rt: Runtime,
-}
-
-impl Network {
-    /// A new, empty network.
-    pub fn new(cfg: NetworkConfig) -> Network {
-        let topo = Arc::new(Topology::builder(cfg).finish());
-        Network {
-            rt: Runtime::new(topo, Vec::new()),
-        }
-    }
-
-    fn topo_mut(&mut self) -> &mut Topology {
-        Arc::get_mut(&mut self.rt.topo)
-            .expect("Network topology is shared; mutate before sharing the Arc")
-    }
-
-    /// The topology, for sharing with further [`Runtime`]s. Mutating this
-    /// network after cloning the returned `Arc` panics.
-    pub fn topology(&self) -> &Arc<Topology> {
-        &self.rt.topo
-    }
-
-    /// Register an AS. Panics if the ASN is already registered.
-    pub fn add_as(&mut self, info: AsInfo) {
-        let prev = self.topo_mut().ases.insert(info.asn.0, info);
-        assert!(prev.is_none(), "duplicate AS registration");
-    }
-
-    /// Register an AS with the given policy (convenience).
-    pub fn add_simple_as(&mut self, asn: Asn, policy: BorderPolicy) {
-        self.add_as(AsInfo::new(asn, policy));
-    }
-
-    /// Announce a prefix as originated by an AS. The AS must exist.
-    pub fn announce(&mut self, prefix: Prefix, asn: Asn) {
-        let topo = self.topo_mut();
-        assert!(topo.ases.contains_key(&asn.0), "announce for unknown {asn}");
-        topo.routes.announce(prefix, asn);
-    }
-
-    /// Attach a host with its behaviour; returns its id. All its addresses
-    /// become deliverable. Panics on a duplicate address binding.
-    pub fn add_host(&mut self, cfg: HostConfig, node: Box<dyn Node>) -> HostId {
-        assert!(
-            self.rt.extra_cfgs.is_empty(),
-            "topology hosts must be added before runtime-dynamic hosts"
-        );
-        let seed = self.rt.topo.cfg.seed;
-        let id = self.topo_mut().bind_host_sorted(cfg);
-        let rng = ChaCha8Rng::seed_from_u64(stream_seed(seed, id as u64));
-        self.rt.hosts.push(HostState { node, rng });
-        id
-    }
-
-    /// Install a transparent DNS interceptor (middlebox) for an AS: UDP/53
-    /// packets entering the AS from outside are redirected to `host`.
-    pub fn set_dns_interceptor(&mut self, asn: Asn, host: HostId) {
-        self.topo_mut()
-            .ases
-            .get_mut(&asn.0)
-            .expect("interceptor for unknown AS")
-            .dns_interceptor = Some(host);
-    }
-}
-
-impl std::ops::Deref for Network {
-    type Target = Runtime;
-    fn deref(&self) -> &Runtime {
-        &self.rt
-    }
-}
-
-impl std::ops::DerefMut for Network {
-    fn deref_mut(&mut self) -> &mut Runtime {
-        &mut self.rt
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::node::SinkNode;
     use std::net::IpAddr;
+
+    type NetBuilder = TopologyBuilder<Box<dyn Node>>;
 
     fn ip(s: &str) -> IpAddr {
         s.parse().unwrap()
@@ -1187,6 +1094,14 @@ mod tests {
 
     fn pre(s: &str) -> Prefix {
         s.parse().unwrap()
+    }
+
+    fn host(addr: &str, asn: u32, stack: StackPolicy) -> HostConfig {
+        HostConfig {
+            addrs: vec![ip(addr)],
+            asn: Asn(asn),
+            stack,
+        }
     }
 
     /// Two ASes; a sender in AS 100 that fires one packet at start.
@@ -1201,42 +1116,38 @@ mod tests {
         }
     }
 
-    fn two_as_net(src_policy: BorderPolicy, dst_policy: BorderPolicy) -> (Network, HostId) {
-        let mut net = Network::new(NetworkConfig::default());
+    fn two_as_net(src_policy: BorderPolicy, dst_policy: BorderPolicy) -> (NetBuilder, HostId) {
+        let mut net = Runtime::builder(NetworkConfig::default());
         net.add_simple_as(Asn(100), src_policy);
         net.add_simple_as(Asn(200), dst_policy);
         net.announce(pre("192.0.2.0/24"), Asn(100));
         net.announce(pre("198.51.100.0/24"), Asn(200));
         let sink = net.add_host(
-            HostConfig {
-                addrs: vec![ip("198.51.100.10")],
-                asn: Asn(200),
-                stack: StackPolicy::permissive(),
-            },
+            host("198.51.100.10", 200, StackPolicy::permissive()),
             Box::new(SinkNode::default()),
         );
         (net, sink)
     }
 
-    fn add_shooter(net: &mut Network, src: &str, dst: &str) {
+    /// Add a one-shot sender at 192.0.2.1 (AS 100), then finish the world
+    /// and run it to completion.
+    fn run_shooter(mut net: NetBuilder, src: &str, dst: &str) -> Runtime {
         net.add_host(
-            HostConfig {
-                addrs: vec![ip("192.0.2.1")],
-                asn: Asn(100),
-                stack: StackPolicy::permissive(),
-            },
+            host("192.0.2.1", 100, StackPolicy::permissive()),
             Box::new(Shooter {
                 src: ip(src),
                 dst: ip(dst),
             }),
         );
+        let mut rt = net.into_runtime();
+        rt.run();
+        rt
     }
 
     #[test]
     fn honest_packet_is_delivered() {
-        let (mut net, sink) = two_as_net(BorderPolicy::strict(), BorderPolicy::strict());
-        add_shooter(&mut net, "192.0.2.1", "198.51.100.10");
-        net.run();
+        let (net, sink) = two_as_net(BorderPolicy::strict(), BorderPolicy::strict());
+        let net = run_shooter(net, "192.0.2.1", "198.51.100.10");
         assert_eq!(net.counters.delivered, 1);
         assert_eq!(net.node::<SinkNode>(sink).unwrap().received, 1);
     }
@@ -1244,9 +1155,8 @@ mod tests {
     #[test]
     fn osav_blocks_spoofed_egress() {
         // Source spoofed to a prefix not announced by AS 100.
-        let (mut net, sink) = two_as_net(BorderPolicy::strict(), BorderPolicy::open());
-        add_shooter(&mut net, "198.51.100.200", "198.51.100.10");
-        net.run();
+        let (net, sink) = two_as_net(BorderPolicy::strict(), BorderPolicy::open());
+        let net = run_shooter(net, "198.51.100.200", "198.51.100.10");
         assert_eq!(net.counters.dropped(DropReason::Osav), 1);
         assert_eq!(net.node::<SinkNode>(sink).unwrap().received, 0);
     }
@@ -1255,46 +1165,41 @@ mod tests {
     fn dsav_blocks_internal_source_ingress() {
         // No OSAV at origin; destination runs DSAV; source claims to be
         // inside the destination AS.
-        let (mut net, sink) = two_as_net(
+        let (net, sink) = two_as_net(
             BorderPolicy::open(),
             BorderPolicy {
                 dsav: true,
                 ..BorderPolicy::open()
             },
         );
-        add_shooter(&mut net, "198.51.100.200", "198.51.100.10");
-        net.run();
+        let net = run_shooter(net, "198.51.100.200", "198.51.100.10");
         assert_eq!(net.counters.dropped(DropReason::Dsav), 1);
         assert_eq!(net.node::<SinkNode>(sink).unwrap().received, 0);
     }
 
     #[test]
     fn no_dsav_admits_internal_source_spoof() {
-        let (mut net, sink) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
-        add_shooter(&mut net, "198.51.100.200", "198.51.100.10");
-        net.run();
+        let (net, sink) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
+        let net = run_shooter(net, "198.51.100.200", "198.51.100.10");
         assert_eq!(net.counters.delivered, 1);
         assert_eq!(net.node::<SinkNode>(sink).unwrap().received, 1);
     }
 
     #[test]
     fn dst_as_src_is_caught_by_dsav_but_not_open_borders() {
-        let (mut net, sink) = two_as_net(
+        let (net, _) = two_as_net(
             BorderPolicy::open(),
             BorderPolicy {
                 dsav: true,
                 ..BorderPolicy::open()
             },
         );
-        add_shooter(&mut net, "198.51.100.10", "198.51.100.10");
-        net.run();
+        let net = run_shooter(net, "198.51.100.10", "198.51.100.10");
         assert_eq!(net.counters.dropped(DropReason::Dsav), 1);
 
-        let (mut net, sink2) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
-        add_shooter(&mut net, "198.51.100.10", "198.51.100.10");
-        net.run();
-        assert_eq!(net.node::<SinkNode>(sink2).unwrap().received, 1);
-        let _ = sink;
+        let (net, sink) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
+        let net = run_shooter(net, "198.51.100.10", "198.51.100.10");
+        assert_eq!(net.node::<SinkNode>(sink).unwrap().received, 1);
     }
 
     #[test]
@@ -1304,23 +1209,20 @@ mod tests {
             ..BorderPolicy::open()
         };
         // Same-/24 spoof: dropped by subnet SAVI.
-        let (mut net, sink) = two_as_net(BorderPolicy::open(), savi);
-        add_shooter(&mut net, "198.51.100.200", "198.51.100.10");
-        net.run();
+        let (net, sink) = two_as_net(BorderPolicy::open(), savi);
+        let net = run_shooter(net, "198.51.100.200", "198.51.100.10");
         assert_eq!(net.counters.dropped(DropReason::SubnetSavi), 1);
         assert_eq!(net.node::<SinkNode>(sink).unwrap().received, 0);
 
         // Dst-as-src is inside the destination's /24 too: also dropped.
-        let (mut net, _) = two_as_net(BorderPolicy::open(), savi);
-        add_shooter(&mut net, "198.51.100.10", "198.51.100.10");
-        net.run();
+        let (net, _) = two_as_net(BorderPolicy::open(), savi);
+        let net = run_shooter(net, "198.51.100.10", "198.51.100.10");
         assert_eq!(net.counters.dropped(DropReason::SubnetSavi), 1);
 
         // An other-prefix spoof (different /24 of the same AS) passes.
         let (mut net, _) = two_as_net(BorderPolicy::open(), savi);
         net.announce(pre("198.51.101.0/24"), Asn(200));
-        add_shooter(&mut net, "198.51.101.77", "198.51.100.10");
-        net.run();
+        let net = run_shooter(net, "198.51.101.77", "198.51.100.10");
         assert_eq!(net.counters.dropped(DropReason::SubnetSavi), 0);
         assert_eq!(net.counters.delivered, 1);
     }
@@ -1332,20 +1234,17 @@ mod tests {
             filter_loopback_ingress: true,
             ..BorderPolicy::open()
         };
-        let (mut net, _) = two_as_net(BorderPolicy::open(), acl);
-        add_shooter(&mut net, "192.168.0.10", "198.51.100.10");
-        net.run();
+        let (net, _) = two_as_net(BorderPolicy::open(), acl);
+        let net = run_shooter(net, "192.168.0.10", "198.51.100.10");
         assert_eq!(net.counters.dropped(DropReason::PrivateIngress), 1);
 
-        let (mut net, _) = two_as_net(BorderPolicy::open(), acl);
-        add_shooter(&mut net, "127.0.0.1", "198.51.100.10");
-        net.run();
+        let (net, _) = two_as_net(BorderPolicy::open(), acl);
+        let net = run_shooter(net, "127.0.0.1", "198.51.100.10");
         assert_eq!(net.counters.dropped(DropReason::LoopbackIngress), 1);
 
         // With open borders they reach the (permissive) host stack.
-        let (mut net, sink) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
-        add_shooter(&mut net, "192.168.0.10", "198.51.100.10");
-        net.run();
+        let (net, sink) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
+        let net = run_shooter(net, "192.168.0.10", "198.51.100.10");
         assert_eq!(net.node::<SinkNode>(sink).unwrap().received, 1);
     }
 
@@ -1355,29 +1254,22 @@ mod tests {
         // Replace sink host stack with strict (drop anomalies): easiest is a
         // second host with a strict stack.
         let strict_sink = net.add_host(
-            HostConfig {
-                addrs: vec![ip("198.51.100.77")],
-                asn: Asn(200),
-                stack: StackPolicy::strict(),
-            },
+            host("198.51.100.77", 200, StackPolicy::strict()),
             Box::new(SinkNode::default()),
         );
-        add_shooter(&mut net, "127.0.0.1", "198.51.100.77");
-        net.run();
+        let net = run_shooter(net, "127.0.0.1", "198.51.100.77");
         assert_eq!(net.counters.dropped(DropReason::StackLoopback), 1);
         assert_eq!(net.node::<SinkNode>(strict_sink).unwrap().received, 0);
     }
 
     #[test]
     fn unrouted_destination_and_unbound_address() {
-        let (mut net, _) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
-        add_shooter(&mut net, "192.0.2.1", "203.0.113.5"); // no route
-        net.run();
+        let (net, _) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
+        let net = run_shooter(net, "192.0.2.1", "203.0.113.5"); // no route
         assert_eq!(net.counters.dropped(DropReason::NoRoute), 1);
 
-        let (mut net, _) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
-        add_shooter(&mut net, "192.0.2.1", "198.51.100.99"); // routed, no host
-        net.run();
+        let (net, _) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
+        let net = run_shooter(net, "192.0.2.1", "198.51.100.99"); // routed, no host
         assert_eq!(net.counters.dropped(DropReason::NoHost), 1);
     }
 
@@ -1393,15 +1285,10 @@ mod tests {
         }
         let (mut net, _) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
         let probe = net.add_host(
-            HostConfig {
-                addrs: vec![ip("198.51.100.42")],
-                asn: Asn(200),
-                stack: StackPolicy::permissive(),
-            },
+            host("198.51.100.42", 200, StackPolicy::permissive()),
             Box::new(TtlProbe { seen: None }),
         );
-        add_shooter(&mut net, "192.0.2.1", "198.51.100.42");
-        net.run();
+        let net = run_shooter(net, "192.0.2.1", "198.51.100.42");
         let seen = net.node::<TtlProbe>(probe).unwrap().seen.unwrap();
         assert!(seen < 64, "ttl should have been decremented, got {seen}");
         assert!(seen >= 64 - 24, "hop count bounded, got {seen}");
@@ -1424,17 +1311,14 @@ mod tests {
             }
         }
         let run = || {
-            let mut net = Network::new(NetworkConfig::default());
+            let mut net = Runtime::builder(NetworkConfig::default());
             net.add_simple_as(Asn(1), BorderPolicy::open());
             net.announce(pre("192.0.2.0/24"), Asn(1));
             let h = net.add_host(
-                HostConfig {
-                    addrs: vec![ip("192.0.2.1")],
-                    asn: Asn(1),
-                    stack: StackPolicy::default(),
-                },
+                host("192.0.2.1", 1, StackPolicy::default()),
                 Box::new(TimerNode { fired: vec![] }),
             );
+            let mut net = net.into_runtime();
             net.run();
             (net.node::<TimerNode>(h).unwrap().fired.clone(), net.now())
         };
@@ -1459,7 +1343,7 @@ mod tests {
                 ctx.send(Packet::udp(pkt.dst, pkt.src, 1, 1, vec![]));
             }
         }
-        let mut net = Network::new(NetworkConfig {
+        let mut net = Runtime::builder(NetworkConfig {
             max_events: 100,
             ..Default::default()
         });
@@ -1468,21 +1352,14 @@ mod tests {
         let a = ip("192.0.2.1");
         let b = ip("192.0.2.2");
         net.add_host(
-            HostConfig {
-                addrs: vec![a],
-                asn: Asn(1),
-                stack: StackPolicy::default(),
-            },
+            host("192.0.2.1", 1, StackPolicy::default()),
             Box::new(PingPong { me: a, peer: b }),
         );
         net.add_host(
-            HostConfig {
-                addrs: vec![b],
-                asn: Asn(1),
-                stack: StackPolicy::default(),
-            },
+            host("192.0.2.2", 1, StackPolicy::default()),
             Box::new(PingPong { me: b, peer: a }),
         );
+        let mut net = net.into_runtime();
         net.run();
         assert!(net.budget_exhausted);
         assert_eq!(net.events_processed(), 100);
@@ -1492,16 +1369,11 @@ mod tests {
     fn middlebox_intercepts_udp53_from_outside_only() {
         let (mut net, sink) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
         let mbx = net.add_host(
-            HostConfig {
-                addrs: vec![ip("198.51.100.53")],
-                asn: Asn(200),
-                stack: StackPolicy::permissive(),
-            },
+            host("198.51.100.53", 200, StackPolicy::permissive()),
             Box::new(SinkNode::default()),
         );
         net.set_dns_interceptor(Asn(200), mbx);
-        add_shooter(&mut net, "192.0.2.1", "198.51.100.10");
-        net.run();
+        let net = run_shooter(net, "192.0.2.1", "198.51.100.10");
         assert_eq!(net.counters.intercepted, 1);
         assert_eq!(net.node::<SinkNode>(mbx).unwrap().received, 1);
         assert_eq!(net.node::<SinkNode>(sink).unwrap().received, 0);
@@ -1509,8 +1381,9 @@ mod tests {
 
     #[test]
     fn run_until_advances_clock() {
-        let mut net = Network::new(NetworkConfig::default());
+        let mut net = Runtime::builder(NetworkConfig::default());
         net.add_simple_as(Asn(1), BorderPolicy::open());
+        let mut net = net.into_runtime();
         net.run_until(SimTime::from_secs(100));
         assert_eq!(net.now(), SimTime::from_secs(100));
         net.run_for(SimDuration::from_secs(5));
@@ -1533,13 +1406,10 @@ mod tests {
         }
         let (mut net, _sink) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
         net.add_host(
-            HostConfig {
-                addrs: vec![ip("192.0.2.1")],
-                asn: Asn(100),
-                stack: StackPolicy::permissive(),
-            },
+            host("192.0.2.1", 100, StackPolicy::permissive()),
             Box::new(TracedShooter),
         );
+        let mut net = net.into_runtime();
         net.arm_flight(100);
         net.run();
         assert_eq!(net.counters.sent, 3);
@@ -1557,28 +1427,24 @@ mod tests {
     }
 
     /// One shared topology, many runtimes: the topology stays bit-identical
-    /// across runs, a shared runtime reproduces a rebuilt network's run
-    /// exactly, and dynamic hosts stay runtime-local.
+    /// across runs, every runtime off the shared `Arc` reproduces a freshly
+    /// built runtime's run exactly, and dynamic hosts stay runtime-local.
     #[test]
     fn shared_topology_runtimes_match_rebuilt_networks() {
-        // Build the same two-AS world as a bare (frozen) topology.
-        let mut b = Topology::builder(NetworkConfig::default());
-        b.add_simple_as(Asn(100), BorderPolicy::open());
-        b.add_simple_as(Asn(200), BorderPolicy::open());
-        b.announce(pre("192.0.2.0/24"), Asn(100));
-        b.announce(pre("198.51.100.0/24"), Asn(200));
-        let sink = b.add_host(HostConfig {
-            addrs: vec![ip("198.51.100.10")],
-            asn: Asn(200),
-            stack: StackPolicy::permissive(),
-        });
-        let shooter = b.add_host(HostConfig {
-            addrs: vec![ip("192.0.2.1")],
-            asn: Asn(100),
-            stack: StackPolicy::permissive(),
-        });
-        let topo = Arc::new(b.finish());
+        let (fresh, sink) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
+        let fresh = run_shooter(fresh, "192.0.2.1", "198.51.100.10");
+        let fresh_counters = format!("{:?}", fresh.counters);
+        assert_eq!(fresh.node::<SinkNode>(sink).unwrap().received, 1);
+
+        // The same world, built again and frozen as a bare topology.
+        let (mut b, _) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
+        b.add_host(
+            host("192.0.2.1", 100, StackPolicy::permissive()),
+            Box::new(SinkNode::default()),
+        );
+        let topo = Arc::new(b.finish().0);
         let digest_before = topo.digest();
+        assert_eq!(digest_before, fresh.topology().digest());
 
         let spawn_nodes = || -> Vec<Box<dyn Node>> {
             vec![
@@ -1595,28 +1461,54 @@ mod tests {
             let mut rt = Runtime::new(Arc::clone(&topo), spawn_nodes());
             // A runtime-local extra host must not leak into the topology.
             let extra = rt.add_host(
-                HostConfig {
-                    addrs: vec![ip("198.51.100.99")],
-                    asn: Asn(200),
-                    stack: StackPolicy::permissive(),
-                },
+                host("198.51.100.99", 200, StackPolicy::permissive()),
                 Box::new(SinkNode::default()),
             );
             assert_eq!(extra, topo.host_count());
             rt.run();
-            assert_eq!(rt.counters.delivered, 1);
+            assert_eq!(format!("{:?}", rt.counters), fresh_counters);
+            assert_eq!(rt.now(), fresh.now());
+            assert_eq!(rt.events_processed(), fresh.events_processed());
             assert_eq!(rt.node::<SinkNode>(sink).unwrap().received, 1);
             assert_eq!(rt.node::<SinkNode>(extra).unwrap().received, 0);
         }
         assert_eq!(topo.digest(), digest_before, "topology mutated by a run");
         assert_eq!(topo.host_count(), 2, "dynamic host leaked into topology");
+    }
 
-        // The shared-topology run matches a rebuilt Network's run.
-        let (mut net, sink2) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
-        add_shooter(&mut net, "192.0.2.1", "198.51.100.10");
-        net.run();
-        assert_eq!(net.node::<SinkNode>(sink2).unwrap().received, 1);
-        let _ = shooter;
+    #[test]
+    #[should_panic(expected = "bound twice")]
+    fn duplicate_address_panics_at_finish() {
+        let (mut net, _) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
+        net.add_host(
+            host("198.51.100.10", 200, StackPolicy::permissive()),
+            Box::new(SinkNode::default()),
+        );
+        let _ = net.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "bound twice")]
+    fn runtime_host_on_a_topology_address_panics() {
+        let (net, _) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
+        let mut rt = net.into_runtime();
+        rt.add_host(
+            host("198.51.100.10", 200, StackPolicy::permissive()),
+            Box::new(SinkNode::default()),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "bound twice")]
+    fn runtime_hosts_sharing_an_address_panic() {
+        let (net, _) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
+        let mut rt = net.into_runtime();
+        for _ in 0..2 {
+            rt.add_host(
+                host("198.51.100.20", 200, StackPolicy::permissive()),
+                Box::new(SinkNode::default()),
+            );
+        }
     }
 
     #[test]

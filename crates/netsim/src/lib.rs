@@ -8,8 +8,8 @@
 //! * an **event engine** split into an immutable, `Arc`-shareable world
 //!   ([`Topology`]) and a cheap per-run execution state ([`Runtime`]) driving
 //!   host nodes ([`Node`]) with packet deliveries and timers, fully
-//!   deterministic for a given seed ([`Network`] bundles the two for the
-//!   single-engine case),
+//!   deterministic for a given seed; one [`TopologyBuilder`] registers
+//!   every AS, prefix and host, each host with its node or blueprint,
 //! * **IPv4/IPv6 packets** carrying UDP datagrams or a simplified-but-
 //!   fingerprintable TCP ([`Packet`], [`TcpSegment`]),
 //! * **autonomous systems** announcing prefixes, with per-AS border policies:
@@ -60,9 +60,7 @@ pub mod time;
 pub mod topology;
 
 pub use counters::{DropReason, NetCounters};
-pub use engine::{
-    subnet_permille, HostConfig, Network, NetworkConfig, Runtime, Topology, TopologyBuilder,
-};
+pub use engine::{subnet_permille, HostConfig, NetworkConfig, Runtime, Topology, TopologyBuilder};
 pub use faults::{
     BurstLoss, ChaosConfig, ChaosProfile, ChaosSpec, CrashRestart, FaultDomain, FaultEvent,
     FaultKind, FaultSchedule, LinkFate, LinkFlap,

@@ -1,6 +1,6 @@
 //! Deterministic combination of per-shard run artifacts.
 //!
-//! A sharded survey runs `S` independent [`crate::Network`] instances and
+//! A sharded survey runs `S` independent [`crate::Runtime`] instances and
 //! must fold their accounting back into one logical run. [`Merge`] is the
 //! contract for that fold: commutative and associative for counter-like
 //! types, so the merged result is independent of shard completion order

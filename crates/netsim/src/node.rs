@@ -13,7 +13,8 @@ use crate::span::{FlightRecorder, SpanKind, TraceId};
 use crate::time::{SimDuration, SimTime};
 use rand_chacha::ChaCha8Rng;
 
-/// Identifier of a host within a [`crate::Network`].
+/// Identifier of a host within a [`crate::Topology`] (dense, in
+/// registration order) or a [`crate::Runtime`]'s own hosts after it.
 pub type HostId = usize;
 
 /// An effect staged by a node during a callback.

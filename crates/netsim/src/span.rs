@@ -283,9 +283,8 @@ impl FlightRecorder {
 
     /// Retained spans of one trace, in causal order.
     pub fn trace_spans(&self, id: TraceId) -> Vec<Span> {
-        // Filter on the key before assembling: cloning every retained
-        // span's detail per trace made per-trace walks (the Chrome export)
-        // quadratic in allocations.
+        // Filter on the key before assembling, so only this trace's
+        // details are cloned.
         let mut spans: Vec<Span> = self
             .spans
             .iter()
@@ -294,6 +293,26 @@ impl FlightRecorder {
             .collect();
         spans.sort_by_key(|s| s.step);
         spans
+    }
+
+    /// Every retained trace with its spans, in one pass over the window:
+    /// trace ids ascending (as [`traces`](Self::traces)), each trace's
+    /// spans in causal order (as [`trace_spans`](Self::trace_spans)).
+    /// Whole-window walks use this; a `trace_spans` call per trace scans
+    /// the window once per trace.
+    pub fn by_trace(&self) -> Vec<(TraceId, Vec<Span>)> {
+        // The full key breaks every tie, so the unstable sort is exact.
+        let mut order: Vec<_> = self.spans.iter().collect();
+        order.sort_unstable_by_key(|&(&(time, trace, step), _)| (trace, step, time));
+        let mut groups: Vec<(TraceId, Vec<Span>)> = Vec::new();
+        for entry in order {
+            let span = assemble(entry);
+            match groups.last_mut() {
+                Some((id, spans)) if *id == span.trace => spans.push(span),
+                _ => groups.push((span.trace, vec![span])),
+            }
+        }
+        groups
     }
 
     /// Render one trace's causal chain as deterministic text.
@@ -469,6 +488,29 @@ mod tests {
         a.merge(b);
         assert_eq!(a.evicted(), single.evicted());
         assert_eq!(a.dump(), single.dump());
+    }
+
+    #[test]
+    fn by_trace_matches_per_trace_walks() {
+        // Interleaved traces, a trace whose steps run against time order,
+        // and evictions that cut the oldest steps of some traces.
+        let mut fr = FlightRecorder::with_capacity(9);
+        for i in 0..14u64 {
+            let trace = [3, 8, 5][i as usize % 3];
+            fr.record(t(1 + i % 5), trace, SpanKind::Send, format!("s{i}"));
+        }
+        fr.record(t(2), 8, SpanKind::Reply, "late step, early time".into());
+        assert!(fr.evicted() > 0);
+        let grouped = fr.by_trace();
+        let ids: Vec<TraceId> = grouped.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, fr.traces());
+        for (id, spans) in &grouped {
+            assert_eq!(spans, &fr.trace_spans(*id), "trace {id}");
+        }
+        assert_eq!(
+            grouped.iter().map(|(_, s)| s.len()).sum::<usize>(),
+            fr.len()
+        );
     }
 
     #[test]

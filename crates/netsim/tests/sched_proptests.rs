@@ -21,7 +21,7 @@
 
 use bcd_netsim::{
     Asn, BorderPolicy, ChaosConfig, ChaosProfile, EngineSched, FaultDomain, FaultSchedule,
-    HeapSched, HostConfig, Network, NetworkConfig, Node, NodeCtx, Packet, Prefix, QueuedEvent,
+    HeapSched, HostConfig, NetworkConfig, Node, NodeCtx, Packet, Prefix, QueuedEvent, Runtime,
     SchedKind, SimDuration, SimTime, StackPolicy, WheelSched,
 };
 use proptest::prelude::*;
@@ -233,19 +233,11 @@ impl Node for PortRecorder {
 
 /// Two ASes and a 500-packet same-instant flood between them, over links
 /// faulted by `faults` (calm: no fault schedule at all).
-fn flood_net(sched: SchedKind, faults: ChaosProfile) -> (Network, usize, usize) {
-    let mut net = Network::new(NetworkConfig {
+fn flood_net(sched: SchedKind, faults: ChaosProfile) -> (Runtime, usize, usize) {
+    let mut net = Runtime::builder(NetworkConfig {
         sched,
         ..Default::default()
     });
-    if !faults.is_calm() {
-        let domain = FaultDomain {
-            asns: vec![Asn(100), Asn(200)],
-            crash_hosts: vec![],
-        };
-        let chaos = ChaosConfig::custom(1, "flood-faults", faults);
-        net.set_faults(Some(Arc::new(FaultSchedule::compile(&chaos, &domain))));
-    }
     net.add_simple_as(Asn(100), BorderPolicy::strict());
     net.add_simple_as(Asn(200), BorderPolicy::strict());
     net.announce("192.0.2.0/24".parse::<Prefix>().unwrap(), Asn(100));
@@ -270,6 +262,15 @@ fn flood_net(sched: SchedKind, faults: ChaosProfile) -> (Network, usize, usize) 
         },
         Box::new(PortRecorder::default()),
     );
+    let mut net = net.into_runtime();
+    if !faults.is_calm() {
+        let domain = FaultDomain {
+            asns: vec![Asn(100), Asn(200)],
+            crash_hosts: vec![],
+        };
+        let chaos = ChaosConfig::custom(1, "flood-faults", faults);
+        net.set_faults(Some(Arc::new(FaultSchedule::compile(&chaos, &domain))));
+    }
     (net, flooder, sink)
 }
 
@@ -284,7 +285,7 @@ fn same_instant_timer_flood_fires_in_enqueue_order() {
     let tokens: Vec<u64> = (0..2000u64).map(|i| 5000 - (i % 1000)).collect();
     let mut orders = Vec::new();
     for sched in [SchedKind::Heap, SchedKind::Wheel] {
-        let mut net = Network::new(NetworkConfig {
+        let mut net = Runtime::builder(NetworkConfig {
             sched,
             ..Default::default()
         });
@@ -301,6 +302,7 @@ fn same_instant_timer_flood_fires_in_enqueue_order() {
                 fired: Vec::new(),
             }),
         );
+        let mut net = net.into_runtime();
         net.run();
         let fired = net.node::<TimerFlood>(host).unwrap().fired.clone();
         assert_eq!(fired, tokens, "{sched:?}: flood fired out of enqueue order");

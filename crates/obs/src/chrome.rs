@@ -96,9 +96,8 @@ pub fn chrome_trace_json(flight: &FlightRecorder, profile: &RunProfile) -> Strin
         0,
         "sim (virtual time)",
     );
-    for (row, id) in flight.traces().iter().enumerate() {
+    for (row, (id, spans)) in flight.by_trace().iter().enumerate() {
         let tid = row as u64 + 1;
-        let spans = flight.trace_spans(*id);
         let Some(start) = spans.iter().map(|s| s.time).min() else {
             continue;
         };
@@ -125,7 +124,7 @@ pub fn chrome_trace_json(flight: &FlightRecorder, profile: &RunProfile) -> Strin
             tid,
             &[("spans", &spans.len().to_string())],
         );
-        for s in &spans {
+        for s in spans {
             push_event(
                 &mut out,
                 &mut first,

@@ -23,7 +23,7 @@ use bcd_dnswire::Name;
 use bcd_geo::{sample_country, Country, CountryProfile, GeoDb, COUNTRIES};
 use bcd_netsim::{
     stream_seed, Asn, BorderPolicy, FaultDomain, FaultSchedule, HostConfig, HostId, NetworkConfig,
-    Prefix, Runtime, SimDuration, StackPolicy, Topology,
+    Prefix, Runtime, SimDuration, StackPolicy, Topology, TopologyBuilder,
 };
 use bcd_osmodel::{DnsSoftware, Os};
 use rand::{Rng, SeedableRng};
@@ -165,7 +165,8 @@ impl World {
     ///
     /// Sound for AS-sharded surveys because a shard only ever sends
     /// traffic to its own destination ASes, and resolvers in non-owned
-    /// ASes are passive until probed (no warmup queries) — a sink there
+    /// ASes are passive until probed (a resolver resolves only on a client
+    /// query; it has no self-initiated traffic) — a sink there
     /// receives nothing it was supposed to answer. Per-host RNG streams
     /// are keyed by host id, so the hosts that *are* instantiated behave
     /// byte-identically to a full spawn. At Internet scale this is what
@@ -211,41 +212,6 @@ const FIRST_MEASURED_ASN: u32 = 1_000;
 /// Stream id for the public DNS hosts' identity-draw salts (see
 /// [`ResolverConfig::identity_draw_salt`]).
 const PUBLIC_DNS_SALT_STREAM: u64 = 0x5055_424C_4943_4453;
-
-/// Pairs the topology under construction with one [`NodeBlueprint`] per
-/// host, so host-id order stays authoritative for both.
-struct WorldBuilder {
-    tb: bcd_netsim::TopologyBuilder,
-    blueprints: Vec<NodeBlueprint>,
-}
-
-impl WorldBuilder {
-    fn new(cfg: NetworkConfig) -> WorldBuilder {
-        WorldBuilder {
-            tb: Topology::builder(cfg),
-            blueprints: Vec::new(),
-        }
-    }
-
-    fn add_simple_as(&mut self, asn: Asn, policy: BorderPolicy) {
-        self.tb.add_simple_as(asn, policy);
-    }
-
-    fn announce(&mut self, prefix: Prefix, asn: Asn) {
-        self.tb.announce(prefix, asn);
-    }
-
-    fn add_host(&mut self, cfg: HostConfig, blueprint: NodeBlueprint) -> HostId {
-        let id = self.tb.add_host(cfg);
-        debug_assert_eq!(id, self.blueprints.len());
-        self.blueprints.push(blueprint);
-        id
-    }
-
-    fn set_dns_interceptor(&mut self, asn: Asn, host: HostId) {
-        self.tb.set_dns_interceptor(asn, host);
-    }
-}
 
 struct AsPlan {
     asn: Asn,
@@ -295,7 +261,7 @@ pub fn build(cfg: WorldConfig) -> World {
     } else {
         AddressAllocator::new()
     };
-    let mut net = WorldBuilder::new(NetworkConfig {
+    let mut net = Topology::builder(NetworkConfig {
         seed: cfg.seed.wrapping_add(1),
         max_events: MAX_EVENTS,
         sched: cfg.sched,
@@ -473,7 +439,6 @@ pub fn build(cfg: WorldConfig) -> World {
                 root_hints: root_hints.clone(),
                 timeout: SimDuration::from_secs(2),
                 max_attempts: 3,
-                warmup: Vec::new(),
                 // The public services relay queries from *every* measured
                 // AS, so under AS-sharding their traffic interleaving
                 // depends on the shard layout. Identity-derived draws keep
@@ -764,8 +729,8 @@ pub fn build(cfg: WorldConfig) -> World {
         lab_v6,
     };
 
-    let WorldBuilder { tb, blueprints } = net;
-    let topo = Arc::new(tb.finish());
+    let (topo, blueprints) = net.finish();
+    let topo = Arc::new(topo);
     let v6_hitlist = Hitlist::new(v6_active, topo.routes());
 
     // Compile the chaos schedule over the finished world. The fault domain
@@ -845,7 +810,7 @@ pub fn set_experiment_zone_wildcard(world: &mut World) {
 fn build_resolver(
     cfg: &WorldConfig,
     rng: &mut ChaCha8Rng,
-    net: &mut WorldBuilder,
+    net: &mut TopologyBuilder<NodeBlueprint>,
     plan: &AsPlan,
     addr: IpAddr,
     v6_family: bool,
@@ -871,7 +836,6 @@ fn build_resolver(
             root_hints: shared.root_hints.clone(),
             timeout: SimDuration::from_secs(2),
             max_attempts: 3,
-            warmup: Vec::new(),
             identity_draw_salt: None,
             preload_cuts: shared.no_cuts.clone(),
         };
@@ -973,7 +937,6 @@ fn build_resolver(
         root_hints: shared.root_hints.clone(),
         timeout: SimDuration::from_secs(2),
         max_attempts: 3,
-        warmup: Vec::new(),
         identity_draw_salt: None,
         preload_cuts: shared.no_cuts.clone(),
     };
@@ -1038,7 +1001,7 @@ fn materialize_acl(kind: AclKind, addr: IpAddr, plan: &AsPlan, shared: &SharedCf
 #[allow(clippy::too_many_arguments)]
 fn pick_upstream(
     rng: &mut ChaCha8Rng,
-    net: &mut WorldBuilder,
+    net: &mut TopologyBuilder<NodeBlueprint>,
     plan: &AsPlan,
     v6_family: bool,
     shared: &SharedCfg,
@@ -1071,7 +1034,6 @@ fn pick_upstream(
         root_hints: shared.root_hints.clone(),
         timeout: SimDuration::from_secs(2),
         max_attempts: 3,
-        warmup: Vec::new(),
         identity_draw_salt: None,
         preload_cuts: shared.no_cuts.clone(),
     };

@@ -12,8 +12,8 @@
 //!   resolvers at experiment time (the `live = false` targets),
 //! * **spoofed sources** in the trace itself (§3.6.2's caveat).
 //!
-//! Substitution note (DESIGN.md): a warmup simulation through the real
-//! root-server nodes produces the same record shape (see the integration
+//! Substitution note (DESIGN.md): resolving client queries through the
+//! real root-server nodes produces the same record shape (see the integration
 //! test `tests/ditl_via_root_servers.rs`); direct synthesis is used for
 //! scale.
 
@@ -38,7 +38,7 @@ pub struct DitlRecord {
 const WINDOW_SECS: u64 = 48 * 3_600;
 
 /// Convert a root server's query log into DITL records — the path a real
-/// collection takes (used by tests that run the warmup through the actual
+/// collection takes (used by tests that resolve queries through the actual
 /// simulated root servers rather than synthesizing the trace).
 pub fn from_query_log(entries: &[bcd_dns::QueryLogEntry]) -> Vec<DitlRecord> {
     entries

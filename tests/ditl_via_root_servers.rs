@@ -1,18 +1,20 @@
 //! Substitution validation: the synthesized DITL trace stands in for a real
-//! root-server collection. This test runs resolver *warmup* traffic through
-//! the actual simulated root servers, converts the root log into DITL
-//! records via the same path a real collection would take, and checks that
-//! the paper's target-extraction pipeline produces the same targets either
-//! way.
+//! root-server collection. This test resolves background lookups (one stub
+//! client per resolver) through the actual simulated root servers, converts
+//! the root log into DITL records via the same path a real collection would
+//! take, and checks that the paper's target-extraction pipeline produces the
+//! same targets either way.
 
 use behind_closed_doors::core::targets::TargetSet;
 use behind_closed_doors::dns::log::shared_log;
+use behind_closed_doors::dns::stub::StubQuery;
 use behind_closed_doors::dns::{
-    Acl, AuthServer, AuthServerConfig, RecursiveResolver, ResolverConfig, Zone, ZoneMode,
+    Acl, AuthServer, AuthServerConfig, RecursiveResolver, ResolverConfig, StubClient, Zone,
+    ZoneMode,
 };
 use behind_closed_doors::dnswire::{Name, RType};
 use behind_closed_doors::netsim::{
-    Asn, BorderPolicy, HostConfig, Network, NetworkConfig, SimDuration, StackPolicy,
+    Asn, BorderPolicy, HostConfig, NetworkConfig, Runtime, SimDuration, StackPolicy,
 };
 use behind_closed_doors::osmodel::Os;
 use behind_closed_doors::worldgen::ditl;
@@ -20,7 +22,7 @@ use std::net::IpAddr;
 
 #[test]
 fn warmup_through_real_root_servers_yields_extractable_targets() {
-    let mut net = Network::new(NetworkConfig {
+    let mut net = Runtime::builder(NetworkConfig {
         seed: 5,
         ..Default::default()
     });
@@ -32,7 +34,7 @@ fn warmup_through_real_root_servers_yields_extractable_targets() {
 
     let root_addr: IpAddr = "198.41.0.4".parse().unwrap();
     let root_log = shared_log();
-    // A root zone with no delegations: every warmup query gets NXDOMAIN
+    // A root zone with no delegations: every lookup gets NXDOMAIN
     // straight from the root — and is logged, which is all DITL needs.
     net.add_host(
         HostConfig {
@@ -47,25 +49,15 @@ fn warmup_through_real_root_servers_yields_extractable_targets() {
         })),
     );
 
-    // Three resolvers with warmup schedules (self-initiated background
-    // queries — what populates a real DITL trace).
+    // Three resolvers, each with a stub client issuing a few lookups —
+    // the background traffic that populates a real DITL trace.
     let resolver_addrs: Vec<IpAddr> = vec![
         "16.0.0.53".parse().unwrap(),
         "16.0.0.54".parse().unwrap(),
         "16.0.1.53".parse().unwrap(),
     ];
     for (i, addr) in resolver_addrs.iter().enumerate() {
-        let warmup = (0..3)
-            .map(|k| {
-                (
-                    SimDuration::from_secs(1 + i as u64 * 10 + k * 25),
-                    format!("w{k}.lookup{i}.example").parse::<Name>().unwrap(),
-                    RType::A,
-                )
-            })
-            .collect();
         let mut cfg = ResolverConfig::test_default(vec![*addr], vec![root_addr]);
-        cfg.warmup = warmup;
         cfg.acl = Acl::Open;
         net.add_host(
             HostConfig {
@@ -75,8 +67,26 @@ fn warmup_through_real_root_servers_yields_extractable_targets() {
             },
             Box::new(RecursiveResolver::new(cfg)),
         );
+        let stub_addr: IpAddr = format!("16.0.0.{}", 100 + i).parse().unwrap();
+        let queries = (0..3)
+            .map(|k| StubQuery {
+                at: SimDuration::from_secs(1 + i as u64 * 10 + k * 25),
+                resolver: *addr,
+                qname: format!("w{k}.lookup{i}.example").parse::<Name>().unwrap(),
+                qtype: RType::A,
+            })
+            .collect();
+        net.add_host(
+            HostConfig {
+                addrs: vec![stub_addr],
+                asn: Asn(2),
+                stack: StackPolicy::strict(),
+            },
+            Box::new(StubClient::new(stub_addr, queries)),
+        );
     }
 
+    let mut net = net.into_runtime();
     net.run();
 
     // Convert the root log exactly like a real collection would.
