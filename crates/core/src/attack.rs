@@ -187,7 +187,6 @@ pub fn run_poisoning_attack(cfg: PoisonConfig) -> PoisonOutcome {
             stack: Os::LinuxModern.stack_policy(),
         },
         Box::new(RecursiveResolver::new(ResolverConfig {
-            addrs: vec![resolver_addr],
             acl: Acl::Allow(vec!["16.10.0.0/16".parse().unwrap()].into()),
             forward_to: None,
             qmin: false,
@@ -196,8 +195,6 @@ pub fn run_poisoning_attack(cfg: PoisonConfig) -> PoisonOutcome {
             os: Os::LinuxModern,
             p0f_visible: true,
             root_hints: vec![auth_addr].into(),
-            timeout: SimDuration::from_secs(2),
-            max_attempts: 3,
             identity_draw_salt: None,
             preload_cuts: Vec::new().into(),
         })),

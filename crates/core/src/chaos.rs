@@ -188,7 +188,7 @@ pub fn render_run_report(clean: &ExperimentData, run: &ChaosRun) -> String {
             "schedule: {} of {} events enabled (horizon {}s)",
             f.enabled_ids().len(),
             f.events().len(),
-            f.horizon().as_secs()
+            bcd_netsim::faults::HORIZON.as_secs()
         );
         for (kind, n) in f.event_counts() {
             let _ = writeln!(out, "  {kind}: {n}");

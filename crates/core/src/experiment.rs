@@ -606,8 +606,6 @@ fn run_shard(
             delay: SimDuration::from_secs(cfg.world.human_lookup_delay_secs),
         });
     let scanner_cfg = ScannerConfig {
-        v4: world.scanner.v4,
-        v6: world.scanner.v6,
         codec,
         schedule,
         targets: targets.clone(),

@@ -109,7 +109,6 @@ impl InvariantChecker {
             "conservation",
             &data.counters,
             data.pending_deliveries,
-            data.budget_exhausted,
             &mut report,
         );
         report
@@ -123,7 +122,6 @@ impl InvariantChecker {
             "crp-conservation",
             &b.counters,
             b.pending_deliveries,
-            b.budget_exhausted,
             &mut report,
         );
         report
@@ -252,7 +250,6 @@ impl InvariantChecker {
         invariant: &'static str,
         c: &NetCounters,
         pending_deliveries: u64,
-        budget_exhausted: bool,
         report: &mut InvariantReport,
     ) {
         report.checked.push(invariant);
@@ -260,22 +257,15 @@ impl InvariantChecker {
         // network without a `sent` increment; they are accounted on the
         // left so their deliveries balance.
         let sent = c.sent + c.duplicated + c.injected;
+        // A run cut by its event budget drops its in-flight packets as
+        // `Truncated`, so the balance is exact either way.
         let accounted = c.delivered + c.total_drops() + pending_deliveries;
-        // On budget exhaustion the engine truncates the *whole* queue —
-        // timers included — so drops may over-count packets; the balance
-        // then only bounds from above.
-        let ok = if budget_exhausted {
-            sent <= accounted
-        } else {
-            sent == accounted
-        };
-        if !ok {
+        if sent != accounted {
             report.violations.push(Violation {
                 invariant,
                 detail: format!(
                     "sent+duplicated+injected = {sent} but delivered+drops+in-flight = \
-                     {accounted} (delivered={} drops={} in-flight={pending_deliveries} \
-                     budget_exhausted={budget_exhausted})",
+                     {accounted} (delivered={} drops={} in-flight={pending_deliveries})",
                     c.delivered,
                     c.total_drops(),
                 ),

@@ -112,7 +112,6 @@ pub fn measure_ports(software: DnsSoftware, os: Os, n_queries: usize, seed: u64)
             stack: os.stack_policy(),
         },
         Box::new(RecursiveResolver::new(ResolverConfig {
-            addrs: vec![resolver_addr],
             acl: Acl::Open,
             forward_to: None,
             qmin: false,
@@ -121,8 +120,6 @@ pub fn measure_ports(software: DnsSoftware, os: Os, n_queries: usize, seed: u64)
             os,
             p0f_visible: true,
             root_hints: vec![auth_addr].into(),
-            timeout: SimDuration::from_secs(2),
-            max_attempts: 3,
             identity_draw_salt: None,
             preload_cuts: Vec::new().into(),
         })),
@@ -142,7 +139,7 @@ pub fn measure_ports(software: DnsSoftware, os: Os, n_queries: usize, seed: u64)
             asn: Asn(1),
             stack: StackPolicy::strict(),
         },
-        Box::new(StubClient::new(client_addr, queries)),
+        Box::new(StubClient::new(queries)),
     );
 
     net.into_runtime().run();

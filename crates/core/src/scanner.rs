@@ -192,12 +192,9 @@ pub struct HumanNoise {
     pub delay: SimDuration,
 }
 
-/// Scanner configuration.
+/// Scanner configuration. The scanner's real addresses are its host's
+/// ([`NodeCtx::addrs`]); only the open-resolver probe is sent from one.
 pub struct ScannerConfig {
-    /// The scanner's real addresses (used for open-resolver probes and as
-    /// the packet source of nothing else).
-    pub v4: IpAddr,
-    pub v6: IpAddr,
     pub codec: QnameCodec,
     /// This shard's slice of the schedule (compact SoA rows; target
     /// addresses and ASNs resolve through `targets`).
@@ -442,11 +439,9 @@ impl Scanner {
             self.stats.followup_queries += 2;
         }
         // Open-resolver probe: NOT spoofed — our real source address.
-        let real = if dst.is_ipv6() {
-            self.cfg.v6
-        } else {
-            self.cfg.v4
-        };
+        let real = ctx
+            .addr_for(dst)
+            .expect("scanner host has an address in every target family");
         let ts = now + SimDuration::from_nanos(2 * FOLLOWUPS_PER_FAMILY);
         self.send_probe(ctx, ts, real, dst, asn, SuffixKind::Main);
         self.stats.open_probes += 1;
@@ -467,8 +462,7 @@ impl Scanner {
             for entry in fresh {
                 if let Decoded::Full(tag) = self.cfg.codec.decode(&entry.qname) {
                     if tag.suffix == SuffixKind::Main
-                        && tag.src != self.cfg.v4
-                        && tag.src != self.cfg.v6
+                        && !ctx.addrs().contains(&tag.src)
                         && self.followed_up.insert(tag.dst)
                     {
                         triggers.push((tag.src, tag.dst));

@@ -36,7 +36,7 @@ pub enum NodeBlueprint {
     /// A recursive resolver (fully described by its config).
     Resolver(ResolverConfig),
     /// A transparent DNS middlebox proxying to `upstream`.
-    Interceptor { addr: IpAddr, upstream: IpAddr },
+    Interceptor { upstream: IpAddr },
     /// A host that silently accepts everything (placeholder / counter).
     Sink,
 }
@@ -56,9 +56,7 @@ impl NodeBlueprint {
                 log_queries: *log_queries,
             })),
             NodeBlueprint::Resolver(cfg) => Box::new(RecursiveResolver::new(cfg.clone())),
-            NodeBlueprint::Interceptor { addr, upstream } => {
-                Box::new(Interceptor::new(*addr, *upstream))
-            }
+            NodeBlueprint::Interceptor { upstream } => Box::new(Interceptor::new(*upstream)),
             NodeBlueprint::Sink => Box::new(bcd_netsim::node::SinkNode::default()),
         }
     }

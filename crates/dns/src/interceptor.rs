@@ -9,8 +9,9 @@
 //!
 //! The engine redirects UDP/53 entering an AS to this node (see
 //! [`bcd_netsim::TopologyBuilder::set_dns_interceptor`]); the node proxies
-//! to its upstream and relays the answer with the original destination
-//! spoofed as the response source, like real intercepting middleboxes do.
+//! to its upstream from its host's one address ([`NodeCtx::addrs`]) and
+//! relays the answer with the original destination spoofed as the
+//! response source, like real intercepting middleboxes do.
 
 use bcd_dnswire::MessageView;
 use bcd_netsim::{Node, NodeCtx, Packet, Transport};
@@ -31,8 +32,6 @@ struct Flow {
 
 /// The middlebox node.
 pub struct Interceptor {
-    /// Our own address (used as the source of upstream queries).
-    addr: IpAddr,
     /// Upstream resolver (a public DNS service in the simulation).
     upstream: IpAddr,
     flows: HashMap<u16, Flow>,
@@ -41,15 +40,10 @@ pub struct Interceptor {
 }
 
 impl Interceptor {
-    /// Create a middlebox proxying to `upstream`.
-    pub fn new(addr: IpAddr, upstream: IpAddr) -> Interceptor {
-        assert_eq!(
-            addr.is_ipv6(),
-            upstream.is_ipv6(),
-            "interceptor and upstream must share a family"
-        );
+    /// Create a middlebox proxying to `upstream`, which must share the
+    /// family of the host's address (checked at start).
+    pub fn new(upstream: IpAddr) -> Interceptor {
         Interceptor {
-            addr,
             upstream,
             flows: HashMap::new(),
             proxied: 0,
@@ -58,6 +52,14 @@ impl Interceptor {
 }
 
 impl Node for Interceptor {
+    fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+        assert_eq!(
+            ctx.addrs()[0].is_ipv6(),
+            self.upstream.is_ipv6(),
+            "interceptor and upstream must share a family"
+        );
+    }
+
     fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, pkt: Packet) {
         let Transport::Udp(u) = &pkt.transport else {
             return;
@@ -72,7 +74,8 @@ impl Node for Interceptor {
         if !view.qr() && u.dst_port == 53 {
             // Client → middlebox (possibly addressed to someone else):
             // re-originate toward the upstream.
-            if pkt.src.is_ipv6() != self.addr.is_ipv6() {
+            let me = ctx.addrs()[0];
+            if pkt.src.is_ipv6() != me.is_ipv6() {
                 return;
             }
             // A loopback "client" has no reply path through a middlebox;
@@ -99,12 +102,12 @@ impl Node for Interceptor {
             ctx.span(pkt.trace, bcd_netsim::SpanKind::Intercept, || {
                 format!(
                     "middlebox {} re-originated query for {} to upstream {} (txid rewritten)",
-                    self.addr, pkt.dst, self.upstream
+                    me, pkt.dst, self.upstream
                 )
             });
             ctx.send(
                 Packet::udp(
-                    self.addr,
+                    me,
                     self.upstream,
                     53_000,
                     53,
@@ -152,11 +155,12 @@ mod tests {
         let upstream: IpAddr = "203.0.113.1".parse().unwrap();
         let client: IpAddr = "192.0.2.9".parse().unwrap();
         let target: IpAddr = "198.51.100.10".parse().unwrap();
-        let mut mbx = Interceptor::new(mbx_addr, upstream);
+        let mut mbx = Interceptor::new(upstream);
 
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let mut effects = Vec::new();
-        let mut ctx = NodeCtx::new(SimTime::ZERO, 0, &mut rng, &mut effects);
+        let addrs = [mbx_addr];
+        let mut ctx = NodeCtx::new(SimTime::ZERO, &addrs, &mut rng, &mut effects);
 
         // Client query addressed to the *target*, delivered to the middlebox.
         let q = Message::query(0x7777, "x.dns-lab.org".parse::<Name>().unwrap(), RType::A);
@@ -181,7 +185,7 @@ mod tests {
         // Upstream answer comes back; middlebox must relay with the original
         // destination spoofed as source and the client's txid restored.
         effects.clear();
-        let mut ctx = NodeCtx::new(SimTime::ZERO, 0, &mut rng, &mut effects);
+        let mut ctx = NodeCtx::new(SimTime::ZERO, &addrs, &mut rng, &mut effects);
         let mut resp = Message::response_to(&fwd, bcd_dnswire::RCode::NXDomain);
         resp.header.id = fwd_txid;
         mbx.on_packet(
@@ -204,10 +208,11 @@ mod tests {
     fn ignores_unrelated_responses() {
         let mbx_addr: IpAddr = "198.51.100.53".parse().unwrap();
         let upstream: IpAddr = "203.0.113.1".parse().unwrap();
-        let mut mbx = Interceptor::new(mbx_addr, upstream);
+        let mut mbx = Interceptor::new(upstream);
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let mut effects = Vec::new();
-        let mut ctx = NodeCtx::new(SimTime::ZERO, 0, &mut rng, &mut effects);
+        let addrs = [mbx_addr];
+        let mut ctx = NodeCtx::new(SimTime::ZERO, &addrs, &mut rng, &mut effects);
         let q = Message::query(1, "x.org".parse::<Name>().unwrap(), RType::A);
         let mut resp = Message::response_to(&q, bcd_dnswire::RCode::NoError);
         resp.header.id = 0xBEEF;

@@ -59,12 +59,17 @@ impl Acl {
     }
 }
 
-/// Resolver configuration.
+/// Per-attempt upstream timeout.
+pub const UPSTREAM_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+
+/// Total upstream attempts per stage before SERVFAIL.
+pub const MAX_ATTEMPTS: u8 = 3;
+
+/// Resolver configuration: what varies between resolvers. The resolver's
+/// addresses are its host's ([`NodeCtx::addrs`]); it sends to a peer from
+/// the first of them in the peer's family.
 #[derive(Debug, Clone)]
 pub struct ResolverConfig {
-    /// Addresses this resolver answers on (v4 and/or v6; must match the
-    /// host's bound addresses).
-    pub addrs: Vec<IpAddr>,
     /// Client access control.
     pub acl: Acl,
     /// Forward all queries to this upstream instead of recursing.
@@ -83,10 +88,6 @@ pub struct ResolverConfig {
     pub p0f_visible: bool,
     /// Root server addresses (shared across every resolver in a world).
     pub root_hints: Arc<[IpAddr]>,
-    /// Per-attempt upstream timeout.
-    pub timeout: SimDuration,
-    /// Total upstream attempts per stage before SERVFAIL.
-    pub max_attempts: u8,
     /// When set, upstream txid and source-port draws are derived from the
     /// *identity* of the pending query (name, stage, attempt, client) mixed
     /// with this salt, instead of consuming the host RNG stream in sequence.
@@ -115,9 +116,8 @@ pub struct ResolverConfig {
 impl ResolverConfig {
     /// A sane open-resolver configuration for tests: modern Linux, OS port
     /// pool, no qmin, recursion from the given root hints.
-    pub fn test_default(addrs: Vec<IpAddr>, root_hints: Vec<IpAddr>) -> ResolverConfig {
+    pub fn test_default(root_hints: Vec<IpAddr>) -> ResolverConfig {
         ResolverConfig {
-            addrs,
             acl: Acl::Open,
             forward_to: None,
             qmin: false,
@@ -126,8 +126,6 @@ impl ResolverConfig {
             os: Os::LinuxModern,
             p0f_visible: true,
             root_hints: root_hints.into(),
-            timeout: SimDuration::from_secs(2),
-            max_attempts: 3,
             identity_draw_salt: None,
             preload_cuts: Vec::new().into(),
         }
@@ -213,34 +211,16 @@ pub struct RecursiveResolver {
 const ANSWER_TTL_SECS: u64 = 60;
 const CUT_TTL_SECS: u64 = 86_400;
 
-/// Our address in the same family as `peer`, if we have one.
-fn our_addr_for(addrs: &[IpAddr], peer: IpAddr) -> Option<IpAddr> {
-    addrs
-        .iter()
-        .copied()
-        .find(|a| a.is_ipv6() == peer.is_ipv6())
-}
-
 /// Pick a usable server (matching one of our address families) from a list,
 /// rotating by attempt number. Prefers IPv4 when dual-stack.
-fn pick_server(addrs: &[IpAddr], servers: &[IpAddr], attempt: u8) -> Option<IpAddr> {
-    let mut v4: Vec<IpAddr> = Vec::new();
-    let mut v6: Vec<IpAddr> = Vec::new();
-    for s in servers {
-        if our_addr_for(addrs, *s).is_some() {
-            if s.is_ipv6() {
-                v6.push(*s);
-            } else {
-                v4.push(*s);
-            }
-        }
-    }
-    let usable = if !v4.is_empty() { v4 } else { v6 };
-    if usable.is_empty() {
-        None
-    } else {
-        Some(usable[attempt as usize % usable.len()])
-    }
+fn pick_server(ctx: &NodeCtx<'_>, servers: &[IpAddr], attempt: u8) -> Option<IpAddr> {
+    let usable = |v6: bool| {
+        let ours = move |s: &&IpAddr| s.is_ipv6() == v6 && ctx.addr_for(**s).is_some();
+        servers.iter().filter(ours)
+    };
+    let v6 = usable(false).next().is_none();
+    let n = usable(v6).count().max(1);
+    usable(v6).nth(attempt as usize % n).copied()
 }
 
 /// Throwaway RNG for one upstream transmission, seeded purely from the
@@ -281,24 +261,10 @@ impl RecursiveResolver {
         }
     }
 
-    /// The configured access-control list.
-    pub fn acl(&self) -> &Acl {
-        &self.cfg.acl
-    }
-
-    /// Configuration access for analyses.
-    pub fn config(&self) -> &ResolverConfig {
-        &self.cfg
-    }
-
     /// Read access to the cache — used by attack simulations and tests to
     /// check what a poisoning attempt actually planted.
     pub fn cache(&self) -> &Cache {
         &self.cache
-    }
-
-    fn our_addr_for(&self, peer: IpAddr) -> Option<IpAddr> {
-        our_addr_for(&self.cfg.addrs, peer)
     }
 
     fn reply_to_client(&mut self, ctx: &mut NodeCtx<'_>, client: ClientRef, mut resp: Message) {
@@ -412,12 +378,12 @@ impl RecursiveResolver {
         let Some(server) = (if p.forwarding {
             p.servers.first().copied()
         } else {
-            pick_server(&self.cfg.addrs, &p.servers, p.attempts)
+            pick_server(ctx, &p.servers, p.attempts)
         }) else {
             self.finish_servfail(ctx, id);
             return;
         };
-        let Some(our_addr) = self.our_addr_for(server) else {
+        let Some(our_addr) = ctx.addr_for(server) else {
             self.finish_servfail(ctx, id);
             return;
         };
@@ -491,7 +457,7 @@ impl RecursiveResolver {
             );
         }
         let attempts = self.pending.get(&id).unwrap().attempts;
-        ctx.set_timer(self.cfg.timeout, (id << 8) | attempts as u64);
+        ctx.set_timer(UPSTREAM_TIMEOUT, (id << 8) | attempts as u64);
     }
 
     fn finish_servfail(&mut self, ctx: &mut NodeCtx<'_>, id: u64) {
@@ -669,7 +635,7 @@ impl RecursiveResolver {
                     format!("upstream {:?} -> rotate server", resp.header.rcode)
                 });
                 p.attempts = p.attempts.saturating_add(1);
-                if p.attempts >= self.cfg.max_attempts {
+                if p.attempts >= MAX_ATTEMPTS {
                     self.finish_servfail(ctx, id);
                 } else {
                     self.send_upstream(ctx, id);
@@ -786,7 +752,7 @@ impl RecursiveResolver {
             };
             let query = Message::query(p.txid, p.current_qname.clone(), qtype);
             let (sport, server, trace) = (p.sport, p.server.unwrap(), p.client.trace);
-            let our_addr = self.our_addr_for(server).unwrap();
+            let our_addr = ctx.addr_for(server).unwrap();
             query.encode_into(&mut self.scratch);
             ctx.send(
                 Packet::tcp(
@@ -858,7 +824,7 @@ impl Node for RecursiveResolver {
             return; // stale timer from an earlier attempt
         }
         p.attempts = p.attempts.saturating_add(1);
-        if p.attempts >= self.cfg.max_attempts {
+        if p.attempts >= MAX_ATTEMPTS {
             self.finish_servfail(ctx, id);
         } else {
             self.send_upstream(ctx, id);

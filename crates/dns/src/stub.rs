@@ -26,9 +26,9 @@ pub struct StubResponse {
     pub answers: usize,
 }
 
-/// The stub client node.
+/// The stub client node. It sends every query from its host's one
+/// address ([`NodeCtx::addrs`]).
 pub struct StubClient {
-    addr: IpAddr,
     queries: Vec<StubQuery>,
     /// Reusable encode buffer for outgoing queries.
     scratch: WireWriter,
@@ -37,10 +37,9 @@ pub struct StubClient {
 }
 
 impl StubClient {
-    /// A stub bound to `addr` with a query schedule.
-    pub fn new(addr: IpAddr, queries: Vec<StubQuery>) -> StubClient {
+    /// A stub with a query schedule.
+    pub fn new(queries: Vec<StubQuery>) -> StubClient {
         StubClient {
-            addr,
             queries,
             scratch: WireWriter::new(),
             responses: Vec::new(),
@@ -73,7 +72,7 @@ impl Node for StubClient {
         msg.encode_into(&mut self.scratch);
         ctx.send(
             Packet::udp(
-                self.addr,
+                ctx.addrs()[0],
                 q.resolver,
                 10_000 + (token as u16 % 50_000),
                 53,

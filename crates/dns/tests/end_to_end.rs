@@ -109,7 +109,7 @@ fn build_world(
     );
 
     // Recursive resolver in the client AS.
-    let mut cfg = ResolverConfig::test_default(vec![ip(RESOLVER)], vec![ip(ROOT)]);
+    let mut cfg = ResolverConfig::test_default(vec![ip(ROOT)]);
     resolver_cfg_mut(&mut cfg);
     let resolver_id = net.add_host(
         HostConfig {
@@ -127,7 +127,7 @@ fn build_world(
             asn: Asn(20),
             stack: StackPolicy::strict(),
         },
-        Box::new(StubClient::new(ip(CLIENT), stub_queries)),
+        Box::new(StubClient::new(stub_queries)),
     );
     (net.into_runtime(), log, resolver_id, stub_id)
 }
@@ -349,10 +349,9 @@ fn forwarder_sends_through_upstream() {
             asn: Asn(10),
             stack: Os::LinuxModern.stack_policy(),
         },
-        Box::new(RecursiveResolver::new(ResolverConfig::test_default(
-            vec![ip(upstream_addr)],
-            vec![ip(ROOT)],
-        ))),
+        Box::new(RecursiveResolver::new(ResolverConfig::test_default(vec![
+            ip(ROOT),
+        ]))),
     );
     net.run();
     let stub_node = net.node::<StubClient>(stub).unwrap();
@@ -371,8 +370,6 @@ fn unreachable_servers_end_in_servfail_after_retries() {
         |cfg| {
             // Point root hints at a black hole.
             cfg.root_hints = vec![ip("203.0.113.250")].into();
-            cfg.timeout = SimDuration::from_secs(1);
-            cfg.max_attempts = 3;
         },
         vec![q(1, "ts1.x.kw.dns-lab.org")],
     );

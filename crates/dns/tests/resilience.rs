@@ -78,10 +78,9 @@ fn world(
             asn: Asn(2),
             stack: Os::LinuxModern.stack_policy(),
         },
-        Box::new(RecursiveResolver::new(ResolverConfig {
-            timeout: SimDuration::from_millis(500),
-            ..ResolverConfig::test_default(vec![ip("21.0.0.53")], vec![auth])
-        })),
+        Box::new(RecursiveResolver::new(ResolverConfig::test_default(vec![
+            auth,
+        ]))),
     );
     let stub = net.add_host(
         HostConfig {
@@ -89,7 +88,7 @@ fn world(
             asn: Asn(2),
             stack: StackPolicy::strict(),
         },
-        Box::new(StubClient::new(ip("21.0.0.9"), queries)),
+        Box::new(StubClient::new(queries)),
     );
     let mut net = net.into_runtime();
     arm_faults(&mut net, seed, "lossy-path", faults);
@@ -198,10 +197,9 @@ fn refused_upstream_rotates_to_working_server() {
             asn: Asn(2),
             stack: Os::LinuxModern.stack_policy(),
         },
-        Box::new(RecursiveResolver::new(ResolverConfig::test_default(
-            vec![ip("21.0.0.53")],
-            vec![good],
-        ))),
+        Box::new(RecursiveResolver::new(ResolverConfig::test_default(vec![
+            good,
+        ]))),
     );
     // Many queries: server rotation starts at attempt 0 with server index
     // `attempts % len`, so some go to the bad server first and must retry.
@@ -214,7 +212,7 @@ fn refused_upstream_rotates_to_working_server() {
             asn: Asn(2),
             stack: StackPolicy::strict(),
         },
-        Box::new(StubClient::new(ip("21.0.0.9"), queries)),
+        Box::new(StubClient::new(queries)),
     );
     let mut net = net.into_runtime();
     net.run();
@@ -266,10 +264,9 @@ fn middlebox_intercepts_inside_the_engine() {
             asn: Asn(1),
             stack: Os::LinuxModern.stack_policy(),
         },
-        Box::new(RecursiveResolver::new(ResolverConfig::test_default(
-            vec![upstream],
-            vec![auth],
-        ))),
+        Box::new(RecursiveResolver::new(ResolverConfig::test_default(vec![
+            auth,
+        ]))),
     );
     // The middlebox in AS 2.
     let mbx_addr = ip("21.0.0.250");
@@ -279,7 +276,7 @@ fn middlebox_intercepts_inside_the_engine() {
             asn: Asn(2),
             stack: StackPolicy::permissive(),
         },
-        Box::new(Interceptor::new(mbx_addr, upstream)),
+        Box::new(Interceptor::new(upstream)),
     );
     net.set_dns_interceptor(Asn(2), mbx);
     // Client queries 21.0.0.53 — an address with NO host behind it.
@@ -289,15 +286,12 @@ fn middlebox_intercepts_inside_the_engine() {
             asn: Asn(3),
             stack: StackPolicy::strict(),
         },
-        Box::new(StubClient::new(
-            ip("22.0.0.9"),
-            vec![StubQuery {
-                at: SimDuration::from_secs(1),
-                resolver: ip("21.0.0.53"),
-                qname: n("probe.zone.test"),
-                qtype: RType::A,
-            }],
-        )),
+        Box::new(StubClient::new(vec![StubQuery {
+            at: SimDuration::from_secs(1),
+            resolver: ip("21.0.0.53"),
+            qname: n("probe.zone.test"),
+            qtype: RType::A,
+        }])),
     );
     let mut net = net.into_runtime();
     net.run();
@@ -346,10 +340,9 @@ fn negative_cache_suppresses_repeat_upstream_traffic() {
             asn: Asn(2),
             stack: Os::LinuxModern.stack_policy(),
         },
-        Box::new(RecursiveResolver::new(ResolverConfig::test_default(
-            vec![ip("21.0.0.53")],
-            vec![auth],
-        ))),
+        Box::new(RecursiveResolver::new(ResolverConfig::test_default(vec![
+            auth,
+        ]))),
     );
     let stub = net.add_host(
         HostConfig {
@@ -357,10 +350,10 @@ fn negative_cache_suppresses_repeat_upstream_traffic() {
             asn: Asn(2),
             stack: StackPolicy::strict(),
         },
-        Box::new(StubClient::new(
-            ip("21.0.0.9"),
-            vec![q(1, "gone.zone.test"), q(5, "gone.zone.test")],
-        )),
+        Box::new(StubClient::new(vec![
+            q(1, "gone.zone.test"),
+            q(5, "gone.zone.test"),
+        ])),
     );
     let mut net = net.into_runtime();
     net.run();
@@ -414,10 +407,9 @@ fn duplicated_tcp_answer_does_not_panic_the_resolver() {
             asn: Asn(2),
             stack: Os::LinuxModern.stack_policy(),
         },
-        Box::new(RecursiveResolver::new(ResolverConfig::test_default(
-            vec![ip("21.0.0.53")],
-            vec![auth],
-        ))),
+        Box::new(RecursiveResolver::new(ResolverConfig::test_default(vec![
+            auth,
+        ]))),
     );
     let stub = net.add_host(
         HostConfig {
@@ -426,7 +418,6 @@ fn duplicated_tcp_answer_does_not_panic_the_resolver() {
             stack: StackPolicy::strict(),
         },
         Box::new(StubClient::new(
-            ip("21.0.0.9"),
             (0..5)
                 .map(|i| q(1 + i, &format!("d{i}.zone.test")))
                 .collect(),

@@ -173,16 +173,6 @@ impl Topology {
         }
     }
 
-    /// The engine configuration runtimes built on this topology will use.
-    pub fn config(&self) -> &NetworkConfig {
-        &self.cfg
-    }
-
-    /// The master seed (host RNG streams derive from it by host id).
-    pub fn seed(&self) -> u64 {
-        self.cfg.seed
-    }
-
     /// Announced routes (prefix → origin ASN).
     pub fn routes(&self) -> &PrefixTable {
         &self.routes
@@ -375,7 +365,10 @@ pub struct Runtime {
     /// Occurrence counters for shard-local flows: how many packets of the
     /// flow `(src, dst)` were sent at the current instant. Keys per-packet
     /// chaos draws so they are invariant to shard layout (see
-    /// [`crate::faults`]). Only populated while `faults` is armed.
+    /// [`crate::faults`]). Only populated while `faults` is armed. An
+    /// entry from an earlier instant counts as absent, so `flow_key` sweeps
+    /// those out whenever the map is full instead of growing it: the map
+    /// holds one instant's flows, not every flow of the run.
     fault_flows: HashMap<(IpAddr, IpAddr), (SimTime, u32)>,
     /// One-entry memo for `FaultSchedule::host_down` at the current
     /// instant: a batch of same-tick sends from one host (the scanner's
@@ -479,11 +472,6 @@ impl Runtime {
         self.faults = faults;
         self.fault_flows.clear();
         self.down_memo = None;
-    }
-
-    /// The armed chaos schedule, if any.
-    pub fn faults(&self) -> Option<&Arc<FaultSchedule>> {
-        self.faults.as_ref()
     }
 
     /// Deliver events still queued (sent but neither delivered nor
@@ -846,6 +834,12 @@ impl Runtime {
     /// content-hashed for infrastructure-only flows (see `crate::faults`).
     fn flow_key(&mut self, f: &FaultSchedule, pkt: &Packet, a: Asn, b: Asn) -> u64 {
         if f.keys_by_occurrence(a, b) {
+            if self.fault_flows.len() == self.fault_flows.capacity() {
+                let now = self.now;
+                self.fault_flows.retain(|_, slot| slot.0 == now);
+                // Keep at least half the map free, so sweeps stay amortised O(1).
+                self.fault_flows.reserve(self.fault_flows.len());
+            }
             let slot = self
                 .fault_flows
                 .entry((pkt.src, pkt.dst))
@@ -989,13 +983,21 @@ impl Runtime {
                 .take()
                 .unwrap_or_else(|| Box::<crate::node::SinkNode>::default());
             let mut node = std::mem::replace(&mut self.hosts[host].node, placeholder);
-            let mut ctx = NodeCtx::with_recorder(
-                self.now,
-                host,
-                &mut self.hosts[host].rng,
-                &mut effects,
-                self.flight.as_mut(),
-            );
+            // Borrowed field by field (not through `host_addrs`, which
+            // would borrow all of `self`) so the rng can be lent mutably.
+            let n = self.topo.host_count();
+            let addrs = if host < n {
+                self.topo.host_addrs(host)
+            } else {
+                &self.extra_cfgs[host - n].addrs
+            };
+            let mut ctx = NodeCtx {
+                now: self.now,
+                addrs,
+                rng: &mut self.hosts[host].rng,
+                effects: &mut effects,
+                spans: self.flight.as_mut(),
+            };
             f(node.as_mut(), &mut ctx);
             self.parked_node = Some(std::mem::replace(&mut self.hosts[host].node, node));
         }
@@ -1032,7 +1034,9 @@ impl Runtime {
         if self.events_processed >= self.topo.cfg.max_events {
             if !self.queue.is_empty() {
                 self.budget_exhausted = true;
-                for _ in 0..self.queue.len() {
+                // Only queued deliveries are packets; abandoned timers are
+                // not drops.
+                for _ in 0..self.queue.pending_delivers() {
                     self.counters.drop(DropReason::Truncated);
                 }
                 self.queue.clear();
@@ -1329,6 +1333,45 @@ mod tests {
         assert_eq!(t1, t2);
     }
 
+    /// The fault occurrence map keeps one instant's flows, not every flow
+    /// of the run: 12,000 distinct flows, three per instant.
+    #[test]
+    fn fault_flow_map_holds_one_instant() {
+        struct Spray(u32);
+        impl Node for Spray {
+            fn on_packet(&mut self, _ctx: &mut NodeCtx<'_>, _pkt: Packet) {}
+            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+                self.on_timer(ctx, 0);
+            }
+            fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _token: u64) {
+                for _ in 0..3 {
+                    self.0 -= 1;
+                    let [_, _, hi, lo] = self.0.to_be_bytes();
+                    let (src, dst) = ([192, 0, 2, hi].into(), [198, 51, 100, lo].into());
+                    ctx.send(Packet::udp(src, dst, 1000, 53, vec![1]));
+                }
+                if self.0 > 0 {
+                    ctx.set_timer(SimDuration::from_millis(1), 0);
+                }
+            }
+        }
+        let (mut net, _) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
+        let spray = host("192.0.2.1", 100, StackPolicy::permissive());
+        net.add_host(spray, Box::new(Spray(12_000)));
+        let mut net = net.into_runtime();
+        let asns = vec![Asn(100), Asn(200)];
+        let domain = crate::faults::FaultDomain {
+            asns,
+            crash_hosts: vec![],
+        };
+        let chaos = crate::faults::ChaosConfig::named(1, "hostile").unwrap();
+        net.set_faults(Some(Arc::new(FaultSchedule::compile(&chaos, &domain))));
+        net.run();
+        assert_eq!(net.counters.sent, 12_000);
+        let slots = net.fault_flows.capacity();
+        assert!(slots <= 16, "occurrence map grew to {slots} slots");
+    }
+
     #[test]
     fn event_budget_stops_runaway_loops() {
         struct PingPong {
@@ -1337,6 +1380,8 @@ mod tests {
         }
         impl Node for PingPong {
             fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+                // Still pending at the cutoff: not a packet, so not a drop.
+                ctx.set_timer(SimDuration::from_secs(3600), 0);
                 ctx.send(Packet::udp(self.me, self.peer, 1, 1, vec![]));
             }
             fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, pkt: Packet) {
@@ -1349,20 +1394,59 @@ mod tests {
         });
         net.add_simple_as(Asn(1), BorderPolicy::open());
         net.announce(pre("192.0.2.0/24"), Asn(1));
-        let a = ip("192.0.2.1");
-        let b = ip("192.0.2.2");
-        net.add_host(
-            host("192.0.2.1", 1, StackPolicy::default()),
-            Box::new(PingPong { me: a, peer: b }),
-        );
-        net.add_host(
-            host("192.0.2.2", 1, StackPolicy::default()),
-            Box::new(PingPong { me: b, peer: a }),
-        );
+        for (me, peer) in [("192.0.2.1", "192.0.2.2"), ("192.0.2.2", "192.0.2.1")] {
+            let node = PingPong {
+                me: ip(me),
+                peer: ip(peer),
+            };
+            net.add_host(host(me, 1, StackPolicy::default()), Box::new(node));
+        }
         let mut net = net.into_runtime();
+        while net.events_processed() < 100 {
+            net.step();
+        }
+        let in_flight = net.pending_deliveries();
+        assert!(in_flight > 0);
         net.run();
         assert!(net.budget_exhausted);
         assert_eq!(net.events_processed(), 100);
+        // Truncation drops the packets in flight, and only those.
+        let c = &net.counters;
+        assert_eq!(c.dropped(DropReason::Truncated), in_flight);
+        assert_eq!(
+            c.sent + c.duplicated + c.injected,
+            c.delivered + c.total_drops()
+        );
+    }
+
+    #[test]
+    fn node_ctx_lends_the_host_addresses() {
+        /// Records the addresses its context lends it.
+        struct AddrProbe(Vec<IpAddr>);
+        impl Node for AddrProbe {
+            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+                self.0 = ctx.addrs().to_vec();
+            }
+            fn on_packet(&mut self, _ctx: &mut NodeCtx<'_>, _pkt: Packet) {}
+        }
+        let multi = |addrs: &[&str]| HostConfig {
+            addrs: addrs.iter().map(|a| ip(a)).collect(),
+            asn: Asn(200),
+            stack: StackPolicy::permissive(),
+        };
+        let (mut net, _) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
+        let probe = Box::new(AddrProbe(Vec::new()));
+        let topo_host = net.add_host(multi(&["198.51.100.20", "2001:db8::20", "10.0.0.1"]), probe);
+        let mut rt = net.into_runtime();
+        let probe = Box::new(AddrProbe(Vec::new()));
+        let extra = rt.add_host(multi(&["2001:db8::30", "198.51.100.30"]), probe);
+        assert_eq!(extra, rt.topology().host_count(), "a runtime-only host");
+        rt.run();
+        for id in [topo_host, extra] {
+            let seen = &rt.node::<AddrProbe>(id).unwrap().0;
+            assert!(seen.len() > 1);
+            assert_eq!(seen.as_slice(), rt.host_addrs(id), "host {id}");
+        }
     }
 
     #[test]

@@ -37,8 +37,9 @@
 //!   layout-invariant because public-resolver query identities are
 //!   derived from query content, not stream position.
 //!
-//! Every fault is a [`FaultEvent`] with a stable id; disabling a subset
-//! (`with_events`) reruns the exact same world minus those events, which
+//! Every fault is a [`FaultEvent`] with a stable id; enabling only a subset
+//! ([`ChaosConfig::only_events`]) reruns the exact same world minus the
+//! other events, which
 //! is what the chaos sweep's delta-debugging shrinker drives. A schedule
 //! is reproducible from the [`ChaosSpec`] replay line
 //! (`BCD_CHAOS=seed=..,profile=..,events=..`).
@@ -266,7 +267,11 @@ impl ChaosProfile {
     }
 }
 
-/// A chaos run request: which faults, under which seed, over which horizon.
+/// Sim-time horizon fault windows are generated over: covers a survey
+/// window plus the post-survey drain for every config in the tree.
+pub const HORIZON: SimDuration = SimDuration::from_hours(8);
+
+/// A chaos run request: which faults, under which seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
     /// Chaos seed — all fault randomness flows from it (usually derived
@@ -279,24 +284,12 @@ pub struct ChaosConfig {
     /// Restrict the schedule to these event ids (shrinker replays);
     /// `None` means all events are enabled.
     pub only_events: Option<Vec<u32>>,
-    /// Sim-time horizon windows are generated over. Must cover the run.
-    pub horizon: SimDuration,
 }
 
 impl ChaosConfig {
-    /// Default horizon: covers a survey window plus the post-survey drain
-    /// for every config in the tree.
-    pub const DEFAULT_HORIZON: SimDuration = SimDuration::from_hours(8);
-
     /// A config for a named profile.
     pub fn named(seed: u64, name: &str) -> Option<ChaosConfig> {
-        Some(ChaosConfig {
-            seed,
-            profile_name: name.to_string(),
-            profile: ChaosProfile::named(name)?,
-            only_events: None,
-            horizon: Self::DEFAULT_HORIZON,
-        })
+        Some(ChaosConfig::custom(seed, name, ChaosProfile::named(name)?))
     }
 
     /// A config for a hand-built profile (replay lines will carry `name`,
@@ -307,7 +300,6 @@ impl ChaosConfig {
             profile_name: name.to_string(),
             profile,
             only_events: None,
-            horizon: Self::DEFAULT_HORIZON,
         }
     }
 
@@ -487,7 +479,6 @@ pub enum LinkFate {
 pub struct FaultSchedule {
     seed: u64,
     profile_name: String,
-    horizon: SimDuration,
     events: Vec<FaultEvent>,
     enabled: Vec<bool>,
     /// Measured ASNs: packet keys for flows touching these use occurrence
@@ -545,8 +536,7 @@ impl FaultSchedule {
     /// time-minor), flap windows, crash epochs (host-major).
     pub fn compile(cfg: &ChaosConfig, domain: &FaultDomain) -> FaultSchedule {
         let p = &cfg.profile;
-        let horizon = cfg.horizon;
-        let end = SimTime::ZERO + horizon;
+        let end = SimTime::ZERO + HORIZON;
         let mut events = Vec::new();
         let mut push = |kind: FaultKind, from: SimTime, until: SimTime| {
             let id = events.len() as u32;
@@ -589,7 +579,7 @@ impl FaultSchedule {
                 if !rng.gen_bool(b.fraction.clamp(0.0, 1.0)) {
                     continue;
                 }
-                for (from, until) in windows(&mut rng, b.mean_good, b.mean_bad, horizon) {
+                for (from, until) in windows(&mut rng, b.mean_good, b.mean_bad, HORIZON) {
                     push(
                         FaultKind::BurstLoss {
                             asn,
@@ -610,7 +600,7 @@ impl FaultSchedule {
                 if !rng.gen_bool(fl.fraction.clamp(0.0, 1.0)) {
                     continue;
                 }
-                for (from, until) in windows(&mut rng, fl.mean_up, fl.mean_down, horizon) {
+                for (from, until) in windows(&mut rng, fl.mean_up, fl.mean_down, HORIZON) {
                     push(
                         FaultKind::LinkFlap { asn },
                         SimTime::ZERO + SimDuration::from_nanos(from),
@@ -628,7 +618,7 @@ impl FaultSchedule {
                 if !rng.gen_bool(c.fraction.clamp(0.0, 1.0)) {
                     continue;
                 }
-                for (from, until) in windows(&mut rng, c.mean_up, c.mean_down, horizon) {
+                for (from, until) in windows(&mut rng, c.mean_up, c.mean_down, HORIZON) {
                     push(
                         FaultKind::Crash { host },
                         SimTime::ZERO + SimDuration::from_nanos(from),
@@ -649,7 +639,6 @@ impl FaultSchedule {
         let mut sched = FaultSchedule {
             seed: cfg.seed,
             profile_name: cfg.profile_name.clone(),
-            horizon,
             events,
             enabled,
             local_asns: domain.asns.iter().map(|a| a.0).collect(),
@@ -663,74 +652,43 @@ impl FaultSchedule {
             flap: HashMap::new(),
             crash: HashMap::new(),
         };
-        sched.reindex();
-        sched
-    }
-
-    /// The same schedule with only `ids` enabled (delta-debugging replays).
-    pub fn with_events(&self, ids: &[u32]) -> FaultSchedule {
-        let keep: HashSet<u32> = ids.iter().copied().collect();
-        let mut s = self.clone();
-        s.enabled = s.events.iter().map(|e| keep.contains(&e.id)).collect();
-        s.reindex();
-        s
-    }
-
-    fn reindex(&mut self) {
-        self.loss = 0.0;
-        self.jitter_ns = 0;
-        self.reorder = 0.0;
-        self.reorder_delay_ns = 0;
-        self.duplicate = 0.0;
-        self.spoof = 0.0;
-        self.burst.clear();
-        self.flap.clear();
-        self.crash.clear();
-        for (e, &on) in self.events.iter().zip(&self.enabled) {
+        for (e, &on) in sched.events.iter().zip(&sched.enabled) {
             if !on {
                 continue;
             }
             let span = (e.from.as_nanos(), e.until.as_nanos());
             match e.kind {
-                FaultKind::AmbientLoss { p } => self.loss = p,
-                FaultKind::Jitter { max } => self.jitter_ns = max.as_nanos(),
+                FaultKind::AmbientLoss { p } => sched.loss = p,
+                FaultKind::Jitter { max } => sched.jitter_ns = max.as_nanos(),
                 FaultKind::Reorder { p, delay } => {
-                    self.reorder = p;
-                    self.reorder_delay_ns = delay.as_nanos();
+                    sched.reorder = p;
+                    sched.reorder_delay_ns = delay.as_nanos();
                 }
-                FaultKind::Duplicate { p } => self.duplicate = p,
-                FaultKind::SpoofInject { p } => self.spoof = p,
+                FaultKind::Duplicate { p } => sched.duplicate = p,
+                FaultKind::SpoofInject { p } => sched.spoof = p,
                 FaultKind::BurstLoss { asn, loss } => {
-                    self.burst
+                    sched
+                        .burst
                         .entry(asn.0)
                         .or_default()
                         .push((span.0, span.1, loss));
                 }
                 FaultKind::LinkFlap { asn } => {
-                    self.flap.entry(asn.0).or_default().push(span);
+                    sched.flap.entry(asn.0).or_default().push(span);
                 }
                 FaultKind::Crash { host } => {
-                    self.crash.entry(host).or_default().push(span);
+                    sched.crash.entry(host).or_default().push(span);
                 }
             }
         }
         // Windows were generated in time order per entity; enabling a
         // subset preserves that, so the per-entity lists stay sorted.
-    }
-
-    /// The chaos seed this schedule was compiled from.
-    pub fn seed(&self) -> u64 {
-        self.seed
+        sched
     }
 
     /// The profile name this schedule was compiled from.
     pub fn profile_name(&self) -> &str {
         &self.profile_name
-    }
-
-    /// The horizon windows were generated over.
-    pub fn horizon(&self) -> SimDuration {
-        self.horizon
     }
 
     /// All events (enabled or not), id order.
@@ -911,7 +869,7 @@ mod tests {
     }
 
     #[test]
-    fn with_events_restricts_and_reindexes() {
+    fn only_events_restricts_and_reindexes() {
         let s = hostile(7);
         // Find a crash event and keep only it.
         let crash_id = s
@@ -920,7 +878,11 @@ mod tests {
             .find(|e| matches!(e.kind, FaultKind::Crash { .. }))
             .expect("hostile generates crash epochs")
             .id;
-        let only = s.with_events(&[crash_id]);
+        // Recompile with only it enabled, as the shrinker's replays do.
+        let mut cfg = ChaosConfig::named(7, "hostile").unwrap();
+        cfg.only_events = Some(vec![crash_id]);
+        let only = FaultSchedule::compile(&cfg, &domain());
+        assert_eq!(only.events(), s.events());
         assert_eq!(only.enabled_ids(), vec![crash_id]);
         let FaultKind::Crash { host } = only.events()[crash_id as usize].kind else {
             unreachable!()
@@ -1114,7 +1076,8 @@ mod tests {
 
     #[test]
     fn spoof_draw_targets_responses_only_and_is_pure() {
-        let s = FaultSchedule::compile(&ChaosConfig::named(5, "spoofy").unwrap(), &domain());
+        let mut cfg = ChaosConfig::named(5, "spoofy").unwrap();
+        let s = FaultSchedule::compile(&cfg, &domain());
         assert_eq!(s.event_counts().get("spoof-inject"), Some(&1));
         let src: IpAddr = "60.0.0.1".parse().unwrap();
         let dst: IpAddr = "60.1.0.1".parse().unwrap();
@@ -1140,7 +1103,8 @@ mod tests {
             );
         }
         // Disabling the single ambient event turns the adversary off.
-        let off = s.with_events(&[]);
+        cfg.only_events = Some(Vec::new());
+        let off = FaultSchedule::compile(&cfg, &domain());
         assert!((0..1000).all(|i| !off.spoof_response(splitmix64(i), &response)));
     }
 

@@ -9,7 +9,9 @@
 //!   ([`Topology`]) and a cheap per-run execution state ([`Runtime`]) driving
 //!   host nodes ([`Node`]) with packet deliveries and timers, fully
 //!   deterministic for a given seed; one [`TopologyBuilder`] registers
-//!   every AS, prefix and host, each host with its node or blueprint,
+//!   every AS, prefix and host, each host with its node or blueprint, and
+//!   the host table is the one record of a host's addresses (a node reads
+//!   its own through [`NodeCtx::addrs`]),
 //! * **IPv4/IPv6 packets** carrying UDP datagrams or a simplified-but-
 //!   fingerprintable TCP ([`Packet`], [`TcpSegment`]),
 //! * **autonomous systems** announcing prefixes, with per-AS border policies:

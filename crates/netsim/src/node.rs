@@ -7,11 +7,16 @@
 //! timers) that the engine applies after the callback returns. This is the
 //! classic discrete-event pattern: it keeps the engine borrow-safe and makes
 //! node logic trivially unit-testable with a synthetic context.
+//!
+//! A node keeps no copy of its own addresses: the host table is the one
+//! record of them, and [`NodeCtx::addrs`] lends the host's slice to every
+//! callback.
 
 use crate::packet::Packet;
 use crate::span::{FlightRecorder, SpanKind, TraceId};
 use crate::time::{SimDuration, SimTime};
 use rand_chacha::ChaCha8Rng;
+use std::net::IpAddr;
 
 /// Identifier of a host within a [`crate::Topology`] (dense, in
 /// registration order) or a [`crate::Runtime`]'s own hosts after it.
@@ -28,13 +33,13 @@ pub enum Effect {
 
 /// Execution context passed to node callbacks.
 pub struct NodeCtx<'a> {
-    now: SimTime,
-    host: HostId,
-    rng: &'a mut ChaCha8Rng,
-    effects: &'a mut Vec<Effect>,
+    pub(crate) now: SimTime,
+    pub(crate) addrs: &'a [IpAddr],
+    pub(crate) rng: &'a mut ChaCha8Rng,
+    pub(crate) effects: &'a mut Vec<Effect>,
     /// Span sink when the engine's flight recorder is armed; `None` keeps
     /// the disabled cost at one untaken branch per [`NodeCtx::span`] call.
-    spans: Option<&'a mut FlightRecorder>,
+    pub(crate) spans: Option<&'a mut FlightRecorder>,
 }
 
 impl<'a> NodeCtx<'a> {
@@ -42,34 +47,16 @@ impl<'a> NodeCtx<'a> {
     /// engines can drive nodes directly.
     pub fn new(
         now: SimTime,
-        host: HostId,
+        addrs: &'a [IpAddr],
         rng: &'a mut ChaCha8Rng,
         effects: &'a mut Vec<Effect>,
     ) -> NodeCtx<'a> {
         NodeCtx {
             now,
-            host,
+            addrs,
             rng,
             effects,
             spans: None,
-        }
-    }
-
-    /// Construct a context with an optional span sink (what the engine
-    /// builds when its flight recorder is armed).
-    pub fn with_recorder(
-        now: SimTime,
-        host: HostId,
-        rng: &'a mut ChaCha8Rng,
-        effects: &'a mut Vec<Effect>,
-        spans: Option<&'a mut FlightRecorder>,
-    ) -> NodeCtx<'a> {
-        NodeCtx {
-            now,
-            host,
-            rng,
-            effects,
-            spans,
         }
     }
 
@@ -78,9 +65,21 @@ impl<'a> NodeCtx<'a> {
         self.now
     }
 
-    /// The host this node is attached to.
-    pub fn host(&self) -> HostId {
-        self.host
+    /// The addresses bound to this node's host, in binding order — the
+    /// host table's own slice, borrowed for the callback. The returned
+    /// borrow outlives `&self`, so a node can hold it across `rng()` or
+    /// `send()` calls.
+    pub fn addrs(&self) -> &'a [IpAddr] {
+        self.addrs
+    }
+
+    /// This host's first address in `peer`'s family, if it has one: the
+    /// source a node uses to talk to `peer`.
+    pub fn addr_for(&self, peer: IpAddr) -> Option<IpAddr> {
+        self.addrs
+            .iter()
+            .copied()
+            .find(|a| a.is_ipv6() == peer.is_ipv6())
     }
 
     /// Deterministic RNG shared by the simulation.
@@ -160,7 +159,6 @@ impl Node for SinkNode {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use std::net::IpAddr;
 
     struct Echo;
     impl Node for Echo {
@@ -183,12 +181,15 @@ mod tests {
     fn context_stages_effects() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let mut effects = Vec::new();
-        let mut ctx = NodeCtx::new(SimTime::from_secs(5), 3, &mut rng, &mut effects);
-        assert_eq!(ctx.now(), SimTime::from_secs(5));
-        assert_eq!(ctx.host(), 3);
-
         let a: IpAddr = "192.0.2.1".parse().unwrap();
         let b: IpAddr = "198.51.100.1".parse().unwrap();
+        let v6: IpAddr = "2001:db8::1".parse().unwrap();
+        let addrs = [b, v6];
+        let mut ctx = NodeCtx::new(SimTime::from_secs(5), &addrs, &mut rng, &mut effects);
+        assert_eq!(ctx.now(), SimTime::from_secs(5));
+        assert_eq!(ctx.addrs(), &addrs);
+        assert_eq!(ctx.addr_for(a), Some(b));
+        assert_eq!(ctx.addr_for("2001:db8::9".parse().unwrap()), Some(v6));
         let mut echo = Echo;
         echo.on_packet(&mut ctx, Packet::udp(a, b, 1000, 53, vec![9]));
 
@@ -214,9 +215,10 @@ mod tests {
     fn sink_counts() {
         let mut rng = ChaCha8Rng::seed_from_u64(0);
         let mut effects = Vec::new();
-        let mut ctx = NodeCtx::new(SimTime::ZERO, 0, &mut rng, &mut effects);
-        let mut sink = SinkNode::default();
         let a: IpAddr = "192.0.2.1".parse().unwrap();
+        let addrs = [a];
+        let mut ctx = NodeCtx::new(SimTime::ZERO, &addrs, &mut rng, &mut effects);
+        let mut sink = SinkNode::default();
         sink.on_packet(&mut ctx, Packet::udp(a, a, 1, 2, vec![]));
         sink.on_packet(&mut ctx, Packet::udp(a, a, 1, 2, vec![]));
         assert_eq!(sink.received, 2);

@@ -118,45 +118,45 @@ impl Default for TraceConfig {
 }
 
 impl TraceConfig {
-    /// Parse a `BCD_TRACE` value. Empty and `0` mean "off" (`None`);
-    /// anything else arms tracing, with unknown keys ignored.
-    pub fn parse(spec: &str) -> Option<TraceConfig> {
+    /// Parse a `BCD_TRACE` value. Empty and `0` mean "off" (`Ok(None)`),
+    /// a bare `1` arms the defaults, and anything else must be `key=value`
+    /// settings from the grammar above: an unknown key, an empty value or
+    /// a number that does not parse is an error naming the setting.
+    pub fn parse(spec: &str) -> Result<Option<TraceConfig>, String> {
         let spec = spec.trim();
         if spec.is_empty() || spec == "0" {
-            return None;
+            return Ok(None);
         }
         let mut cfg = TraceConfig::default();
+        if spec == "1" {
+            return Ok(Some(cfg));
+        }
         for part in spec.split(',') {
-            let (key, value) = match part.split_once('=') {
-                Some(kv) => kv,
-                None => continue, // bare token ("1", "on"): defaults
+            let Some((key, value)) = part.split_once('=') else {
+                return Err(format!("`{part}` is not a key=value setting"));
             };
+            let value = value.trim();
+            if value.is_empty() {
+                return Err(format!("`{part}` has no value"));
+            }
             match key.trim() {
+                // `1/N` (or a bare `N`, read as 1/N).
                 "sample" => {
-                    // `1/N` (or a bare `N`, read as 1/N).
-                    let n = value
-                        .trim()
-                        .strip_prefix("1/")
-                        .unwrap_or(value.trim())
-                        .parse::<u64>()
-                        .unwrap_or(1);
-                    cfg.sample.every = n.max(1);
+                    let n = value.strip_prefix("1/").unwrap_or(value).parse().ok();
+                    cfg.sample.every = n
+                        .filter(|&n| n > 0)
+                        .ok_or_else(|| format!("`{part}` wants 1/N with N a positive integer"))?;
                 }
-                "qname" if !value.trim().is_empty() => {
-                    cfg.sample.qname_suffix = Some(value.trim().to_string());
-                }
+                "qname" => cfg.sample.qname_suffix = Some(value.to_string()),
                 "cap" => {
-                    if let Ok(c) = value.trim().parse::<usize>() {
-                        cfg.capacity = c;
-                    }
+                    let c = value.parse().ok().filter(|&c| c > 0);
+                    cfg.capacity = c.ok_or_else(|| format!("`{part}` wants a positive integer"))?;
                 }
-                "out" if !value.trim().is_empty() => {
-                    cfg.chrome_out = Some(PathBuf::from(value.trim()));
-                }
-                _ => {}
+                "out" => cfg.chrome_out = Some(PathBuf::from(value)),
+                other => return Err(format!("unknown key `{other}`")),
             }
         }
-        Some(cfg)
+        Ok(Some(cfg))
     }
 }
 
@@ -170,7 +170,8 @@ pub struct ObsEnv {
     /// `BCD_OBS=path.jsonl` — write the structured export here.
     pub jsonl_path: Option<PathBuf>,
     /// `BCD_PROGRESS=N` — scanner heartbeat to stderr every N probes
-    /// (`0`, empty, or unset disables; bare `1`..: that interval).
+    /// (`0`, empty, or unset disables; anything but a non-negative
+    /// integer is an error).
     pub progress_every: Option<u64>,
     /// `BCD_TRACE=sample=1/N[,qname=suffix][,cap=N][,out=path]` — arm the
     /// causal span flight recorder (see [`TraceConfig`]).
@@ -183,18 +184,18 @@ impl ObsEnv {
         ObsEnv::default()
     }
 
-    /// Read `BCD_OBS` / `BCD_PROGRESS` / `BCD_TRACE`.
+    /// Read `BCD_OBS` / `BCD_PROGRESS` / `BCD_TRACE`. Panics on a
+    /// malformed `BCD_PROGRESS` or `BCD_TRACE`, naming the variable and its
+    /// value.
     pub fn from_env() -> ObsEnv {
         let jsonl_path = std::env::var_os("BCD_OBS")
             .filter(|v| !v.is_empty())
             .map(PathBuf::from);
-        let progress_every = std::env::var("BCD_PROGRESS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&n| n > 0);
-        let trace = std::env::var("BCD_TRACE")
-            .ok()
-            .and_then(|v| TraceConfig::parse(&v));
+        let progress_every = env_str("BCD_PROGRESS")
+            .and_then(|v| parse_progress(&v).unwrap_or_else(|e| panic!("BCD_PROGRESS={v:?}: {e}")));
+        let trace = env_str("BCD_TRACE").and_then(|v| {
+            TraceConfig::parse(&v).unwrap_or_else(|e| panic!("BCD_TRACE={v:?}: {e}"))
+        });
         ObsEnv {
             jsonl_path,
             progress_every,
@@ -217,6 +218,23 @@ impl ObsEnv {
     }
 }
 
+/// An environment variable's value, `None` when unset; panics, naming the
+/// variable, when it is not Unicode.
+fn env_str(var: &str) -> Option<String> {
+    let v = std::env::var_os(var)?.into_string();
+    Some(v.unwrap_or_else(|v| panic!("{var}={v:?} is not Unicode")))
+}
+
+/// Parse a `BCD_PROGRESS` value: empty and `0` mean "off" (`Ok(None)`),
+/// `N` a heartbeat every `N` probes.
+fn parse_progress(v: &str) -> Result<Option<u64>, String> {
+    match v.parse::<u64>() {
+        _ if v.is_empty() => Ok(None),
+        Ok(n) => Ok((n > 0).then_some(n)),
+        Err(_) => Err("not a non-negative integer".to_string()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,14 +250,16 @@ mod tests {
 
     #[test]
     fn trace_config_grammar() {
-        assert_eq!(TraceConfig::parse(""), None);
-        assert_eq!(TraceConfig::parse("0"), None);
-        let def = TraceConfig::parse("1").unwrap();
+        assert_eq!(TraceConfig::parse(""), Ok(None));
+        assert_eq!(TraceConfig::parse("0"), Ok(None));
+        let def = TraceConfig::parse("1").unwrap().unwrap();
         assert_eq!(def, TraceConfig::default());
         assert_eq!(def.sample.every, 1);
         assert_eq!(def.capacity, 65_536);
 
-        let full = TraceConfig::parse("sample=1/64,qname=dns-lab.org,cap=1024,out=t.json").unwrap();
+        let full = TraceConfig::parse("sample=1/64,qname=dns-lab.org,cap=1024,out=t.json")
+            .unwrap()
+            .unwrap();
         assert_eq!(full.sample.every, 64);
         assert_eq!(full.sample.qname_suffix.as_deref(), Some("dns-lab.org"));
         assert_eq!(full.capacity, 1024);
@@ -248,9 +268,39 @@ mod tests {
             Some(std::path::Path::new("t.json"))
         );
 
-        // Bare-N sampling and unknown keys.
-        let loose = TraceConfig::parse("sample=8,bogus=1").unwrap();
-        assert_eq!(loose.sample.every, 8);
+        // Bare-N sampling.
+        let bare = TraceConfig::parse("sample=8").unwrap().unwrap();
+        assert_eq!(bare.sample.every, 8);
+
+        // Unknown keys and malformed values are errors, never silent
+        // defaults.
+        for bad in [
+            "sample=8,bogus=1",
+            "smaple=1/64",
+            "sample=1/x",
+            "sample=1/0",
+            "cap=abc",
+            "cap=0",
+            "qname=",
+            "out=",
+            "on",
+            "1,sample=1/64",
+        ] {
+            assert!(TraceConfig::parse(bad).is_err(), "{bad} parsed");
+        }
+        let err = TraceConfig::parse("smaple=1/64").unwrap_err();
+        assert!(err.contains("smaple"), "{err}");
+    }
+
+    #[test]
+    fn progress_grammar() {
+        assert_eq!(parse_progress(""), Ok(None));
+        assert_eq!(parse_progress("0"), Ok(None));
+        assert_eq!(parse_progress("1"), Ok(Some(1)));
+        assert_eq!(parse_progress("250000"), Ok(Some(250_000)));
+        for bad in ["ten", "-1", "1.5", " 5"] {
+            assert!(parse_progress(bad).is_err(), "{bad} parsed");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use bcd_dnswire::Name;
 use bcd_geo::{sample_country, Country, CountryProfile, GeoDb, COUNTRIES};
 use bcd_netsim::{
     stream_seed, Asn, BorderPolicy, FaultDomain, FaultSchedule, HostConfig, HostId, NetworkConfig,
-    Prefix, Runtime, SimDuration, StackPolicy, Topology, TopologyBuilder,
+    Prefix, Runtime, StackPolicy, Topology, TopologyBuilder,
 };
 use bcd_osmodel::{DnsSoftware, Os};
 use rand::{Rng, SeedableRng};
@@ -428,7 +428,6 @@ pub fn build(cfg: WorldConfig) -> World {
                 stack: Os::LinuxModern.stack_policy(),
             },
             NodeBlueprint::Resolver(ResolverConfig {
-                addrs: vec![a4, a6],
                 acl: Acl::Open,
                 forward_to: None,
                 qmin: false,
@@ -437,8 +436,6 @@ pub fn build(cfg: WorldConfig) -> World {
                 os: Os::LinuxModern,
                 p0f_visible: false,
                 root_hints: root_hints.clone(),
-                timeout: SimDuration::from_secs(2),
-                max_attempts: 3,
                 // The public services relay queries from *every* measured
                 // AS, so under AS-sharding their traffic interleaving
                 // depends on the shard layout. Identity-derived draws keep
@@ -578,10 +575,7 @@ pub fn build(cfg: WorldConfig) -> World {
                     asn: plan.asn,
                     stack: StackPolicy::permissive(),
                 },
-                NodeBlueprint::Interceptor {
-                    addr: mbx_addr,
-                    upstream,
-                },
+                NodeBlueprint::Interceptor { upstream },
             );
             net.set_dns_interceptor(plan.asn, host);
         }
@@ -825,7 +819,6 @@ fn build_resolver(
     if !responsive {
         let identity = sample_port_identity(rng);
         let resolver_cfg = ResolverConfig {
-            addrs: vec![addr],
             acl: Acl::Allow(shared.no_prefixes.clone()),
             forward_to: None,
             qmin: false,
@@ -834,8 +827,6 @@ fn build_resolver(
             os: identity.os,
             p0f_visible: identity.p0f_visible,
             root_hints: shared.root_hints.clone(),
-            timeout: SimDuration::from_secs(2),
-            max_attempts: 3,
             identity_draw_salt: None,
             preload_cuts: shared.no_cuts.clone(),
         };
@@ -926,7 +917,6 @@ fn build_resolver(
     };
 
     let resolver_cfg = ResolverConfig {
-        addrs: addrs.clone(),
         acl,
         forward_to,
         qmin,
@@ -935,8 +925,6 @@ fn build_resolver(
         os: identity.os,
         p0f_visible: identity.p0f_visible,
         root_hints: shared.root_hints.clone(),
-        timeout: SimDuration::from_secs(2),
-        max_attempts: 3,
         identity_draw_salt: None,
         preload_cuts: shared.no_cuts.clone(),
     };
@@ -1023,7 +1011,6 @@ fn pick_upstream(
     // At most one per AS, so the v4 prefix list is cloned, not shared.
     let addr = plan.v4_prefixes[0].nth(251).unwrap();
     let cfg = ResolverConfig {
-        addrs: vec![addr],
         acl: Acl::Allow(plan.v4_prefixes.clone().into()),
         forward_to: None,
         qmin: false,
@@ -1032,8 +1019,6 @@ fn pick_upstream(
         os: Os::LinuxModern,
         p0f_visible: false,
         root_hints: shared.root_hints.clone(),
-        timeout: SimDuration::from_secs(2),
-        max_attempts: 3,
         identity_draw_salt: None,
         preload_cuts: shared.no_cuts.clone(),
     };

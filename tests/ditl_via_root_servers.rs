@@ -57,7 +57,7 @@ fn warmup_through_real_root_servers_yields_extractable_targets() {
         "16.0.1.53".parse().unwrap(),
     ];
     for (i, addr) in resolver_addrs.iter().enumerate() {
-        let mut cfg = ResolverConfig::test_default(vec![*addr], vec![root_addr]);
+        let mut cfg = ResolverConfig::test_default(vec![root_addr]);
         cfg.acl = Acl::Open;
         net.add_host(
             HostConfig {
@@ -82,7 +82,7 @@ fn warmup_through_real_root_servers_yields_extractable_targets() {
                 asn: Asn(2),
                 stack: StackPolicy::strict(),
             },
-            Box::new(StubClient::new(stub_addr, queries)),
+            Box::new(StubClient::new(queries)),
         );
     }
 
