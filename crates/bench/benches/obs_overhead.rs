@@ -23,6 +23,7 @@ use std::time::Instant;
 
 fn run_survey(cfg: &ExperimentConfig, env: &ObsEnv) -> usize {
     let data = Experiment::run_observed(cfg.clone(), env);
+    env.export(&data.obs, data.flight.as_ref());
     data.entries.len()
 }
 

@@ -5,7 +5,7 @@
 //! closures never run: `NodeCtx::span` returns before touching them), so
 //! the paired measurement below gates on it directly.
 //!
-//! Three configurations, interleaved like `obs_overhead`:
+//! Three configurations, run back to back in each round:
 //!
 //! * `disabled` — `ObsEnv::disabled()`: no recorder exists. The baseline.
 //! * `armed_unsampled` — recorder armed, but the sampling spec rejects
@@ -18,7 +18,7 @@
 //! ```sh
 //! cargo bench -p bcd-bench --bench trace_overhead
 //! # BCD_BENCH_PAPER=1 adds the (slow) paper-shape S=1 measurement;
-//! # BCD_BENCH_N=<samples> raises the per-config sample count;
+//! # BCD_BENCH_N=<rounds> sets the round count (default 121);
 //! # BCD_TRACE_GATE=off reports without failing (noisy-host escape hatch).
 //! ```
 
@@ -59,23 +59,20 @@ fn unsampled_env() -> ObsEnv {
 
 struct Measured {
     name: String,
+    rounds: usize,
+    /// Median wall time of the disabled runs.
     disabled_s: f64,
-    unsampled_s: f64,
-    full_s: f64,
+    /// Median over rounds of `unsampled / disabled`, as a percentage over 1.
+    unsampled_pct: f64,
+    /// Median over rounds of `full / disabled`, as a percentage over 1.
+    full_pct: f64,
 }
 
-impl Measured {
-    fn unsampled_pct(&self) -> f64 {
-        100.0 * (self.unsampled_s - self.disabled_s) / self.disabled_s
-    }
-    fn full_pct(&self) -> f64 {
-        100.0 * (self.full_s - self.disabled_s) / self.disabled_s
-    }
-}
-
-/// Paired measurement, interleaved (disabled, unsampled, full, ...) after
-/// one warm-up apiece, so load drift lands on every side of the
-/// comparison.
+/// Paired measurement: after one warm-up apiece, `n` rounds each run the
+/// three configurations back to back (disabled and unsampled swap places
+/// every other round), and each overhead is the median of the per-round
+/// ratios against that round's disabled run. Load drift between rounds
+/// then scales both sides of a ratio instead of landing in the comparison.
 fn measure(name: &str, cfg: &ExperimentConfig, n: usize) -> Measured {
     let mut run_disabled = || run_survey(cfg, &ObsEnv::disabled());
     let mut run_unsampled = || run_survey(cfg, &unsampled_env());
@@ -83,21 +80,24 @@ fn measure(name: &str, cfg: &ExperimentConfig, n: usize) -> Measured {
     black_box(run_disabled());
     black_box(run_unsampled());
     black_box(run_full());
-    let (mut disabled, mut unsampled, mut full) = (
-        Vec::with_capacity(n),
-        Vec::with_capacity(n),
-        Vec::with_capacity(n),
-    );
-    for _ in 0..n {
-        disabled.push(timed(&mut run_disabled));
-        unsampled.push(timed(&mut run_unsampled));
-        full.push(timed(&mut run_full));
+    let mut rounds = Vec::with_capacity(n);
+    for i in 0..n {
+        let (disabled, unsampled) = if i % 2 == 0 {
+            let d = timed(&mut run_disabled);
+            (d, timed(&mut run_unsampled))
+        } else {
+            let u = timed(&mut run_unsampled);
+            (timed(&mut run_disabled), u)
+        };
+        rounds.push((disabled, unsampled, timed(&mut run_full)));
     }
+    let pct = |ratios: Vec<f64>| 100.0 * (median(ratios) - 1.0);
     Measured {
         name: name.to_string(),
-        disabled_s: median(disabled),
-        unsampled_s: median(unsampled),
-        full_s: median(full),
+        rounds: n,
+        disabled_s: median(rounds.iter().map(|r| r.0).collect()),
+        unsampled_pct: pct(rounds.iter().map(|r| r.1 / r.0).collect()),
+        full_pct: pct(rounds.iter().map(|r| r.2 / r.0).collect()),
     }
 }
 
@@ -118,7 +118,7 @@ fn bench(c: &mut Criterion) {
     let n = std::env::var("BCD_BENCH_N")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(7);
+        .unwrap_or(121);
     let mut rows = vec![measure("tiny_seed1", &tiny, n)];
     if std::env::var("BCD_BENCH_PAPER").is_ok() {
         // The acceptance shape: paper-shape S=1 (constructors honour
@@ -129,18 +129,14 @@ fn bench(c: &mut Criterion) {
     let mut worst = f64::MIN;
     for m in &rows {
         println!(
-            "trace_overhead/{}: disabled {:.3}s unsampled {:.3}s ({:+.2}%) full {:.3}s ({:+.2}%)",
-            m.name,
-            m.disabled_s,
-            m.unsampled_s,
-            m.unsampled_pct(),
-            m.full_s,
-            m.full_pct()
+            "trace_overhead/{} ({} rounds): disabled {:.3}s, unsampled {:+.2}%, full {:+.2}% \
+             (medians of per-round ratios)",
+            m.name, m.rounds, m.disabled_s, m.unsampled_pct, m.full_pct
         );
-        worst = worst.max(m.unsampled_pct());
+        worst = worst.max(m.unsampled_pct);
     }
-    // The gate: disarmed-path overhead must stay under 3%. Shared-runner
-    // medians jitter, so the escape hatch reports without failing.
+    // The gate: disarmed-path overhead must stay under 3%. The escape hatch
+    // reports without failing, for a host too loaded to measure on.
     let gate_off = matches!(
         std::env::var("BCD_TRACE_GATE").ok().as_deref(),
         Some("off") | Some("0")

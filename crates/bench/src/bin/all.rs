@@ -10,9 +10,13 @@
 //! with status 2 before any work starts.
 
 use bcd_core::report::{self, PaperReport, SECTIONS};
+use bcd_obs::ObsEnv;
 use std::time::Instant;
 
 fn main() {
+    // First, so a malformed BCD_TRACE / BCD_PROGRESS stops every run,
+    // lab-only selections included.
+    let env = ObsEnv::from_env();
     let args: Vec<String> = std::env::args().skip(1).collect();
     if let Some(bad) = args.iter().find(|a| !SECTIONS.contains(&a.as_str())) {
         eprintln!(
@@ -36,7 +40,7 @@ fn main() {
         return;
     }
 
-    let mut data = bcd_bench::standard_data();
+    let mut data = bcd_bench::standard_data(&env);
     let t0 = Instant::now();
     let paper = PaperReport::new(&data, lab_queries);
     data.obs.profile.record("analysis", t0.elapsed());
@@ -50,14 +54,8 @@ fn main() {
     data.obs.profile.record("report", t0.elapsed());
 
     // The run report goes to stderr (it is run metadata, not a paper
-    // artifact); a BCD_OBS export is rewritten to include the analysis and
-    // report phases appended above.
+    // artifact). The files are written last, so they carry the analysis
+    // and report phases too.
     eprintln!("{}", bcd_obs::report::render_run_report(&data.obs));
-    if let Some(path) = &bcd_obs::ObsEnv::from_env().jsonl_path {
-        if let Err(e) = data.obs.write_jsonl(path) {
-            eprintln!("# BCD_OBS export to {} failed: {e}", path.display());
-        } else {
-            eprintln!("# metrics JSONL written to {}", path.display());
-        }
-    }
+    env.export(&data.obs, data.flight.as_ref());
 }

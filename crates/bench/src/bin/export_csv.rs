@@ -11,7 +11,9 @@ use std::fs;
 fn main() -> std::io::Result<()> {
     fs::create_dir_all("results")?;
     let n = bcd_bench::env_or("BCD_LAB_QUERIES", 10_000);
-    let data = bcd_bench::standard_data();
+    let env = bcd_obs::ObsEnv::from_env();
+    let data = bcd_bench::standard_data(&env);
+    env.export(&data.obs, data.flight.as_ref());
     let report = PaperReport::new(&data, n);
     let ports = report.ports();
 

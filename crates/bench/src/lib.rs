@@ -41,6 +41,7 @@
 //! any other value that does not parse panics, naming the variable.
 
 use bcd_core::{Experiment, ExperimentConfig, ExperimentData};
+use bcd_obs::ObsEnv;
 use std::str::FromStr;
 
 /// Read an env knob: unset or empty gives `default`.
@@ -83,15 +84,17 @@ pub fn standard_config() -> ExperimentConfig {
     config(paper.n_as, paper.target_scale)
 }
 
-/// Run the standard experiment (shared by all binaries).
-pub fn standard_data() -> ExperimentData {
+/// Run the standard experiment (shared by all binaries) under `env`. Like
+/// [`Experiment::run_observed`] it writes no file; the binary calls
+/// [`ObsEnv::export`] after its last phase.
+pub fn standard_data(env: &ObsEnv) -> ExperimentData {
     let cfg = standard_config();
     eprintln!(
         "# running survey: seed={} ases={} scale={:.2} shards={}",
         cfg.world.seed, cfg.world.n_as, cfg.world.target_scale, cfg.shards
     );
     let t0 = std::time::Instant::now();
-    let data = Experiment::run(cfg);
+    let data = Experiment::run_observed(cfg, env);
     eprintln!(
         "# survey done in {:.1}s: {} targets, {} log entries, {} events",
         t0.elapsed().as_secs_f64(),

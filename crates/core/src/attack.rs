@@ -18,7 +18,6 @@
 //! 3. the resolver's own validation (txid + port + server address) decides;
 //!    an accepted forgery is cached and served to clients.
 
-use bcd_dns::log::shared_log;
 use bcd_dns::{
     Acl, AuthServer, AuthServerConfig, RecursiveResolver, ResolverConfig, Zone, ZoneMode,
 };
@@ -173,8 +172,7 @@ pub fn run_poisoning_attack(cfg: PoisonConfig) -> PoisonOutcome {
         },
         Box::new(AuthServer::new(AuthServerConfig {
             zones: vec![root, zone],
-            log: shared_log(),
-            log_queries: false,
+            log: None,
         })),
     );
 

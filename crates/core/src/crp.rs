@@ -117,14 +117,12 @@ pub struct DualRun {
 /// byte-identical with or without the CRP pass); the CRP pass then reuses
 /// its world and target set, recording its phases under a `crp.` prefix
 /// inside one `crp-run` phase. Agreement metrics are appended to the run's
-/// observation aggregate as [`Det::Stable`] counters, and the combined
-/// artifact is exported once if `env` names a JSONL sink.
+/// observation aggregate as [`Det::Stable`] counters. Like
+/// [`Experiment::run_observed`] it writes no file: the caller exports the
+/// combined artifact ([`ObsEnv::export`]).
 pub fn run_dual(cfg: ExperimentConfig, env: &ObsEnv) -> DualRun {
     use bcd_obs::report::names;
-    // Defer the JSONL export until the agreement counters are in.
-    let mut quiet = env.clone();
-    quiet.jsonl_path = None;
-    let mut a = Experiment::run_observed(cfg, &quiet);
+    let mut a = Experiment::run_observed(cfg, env);
     let t0 = Instant::now();
     // The CRP scan: internal source categories only, its own keyword and
     // RNG streams, and a scanner that only walks its schedule.
@@ -216,10 +214,5 @@ pub fn run_dual(cfg: ExperimentConfig, env: &ObsEnv) -> DualRun {
         det,
         matrix.false_closed_b.len() as u64,
     );
-    if let Some(path) = &env.jsonl_path {
-        if let Err(e) = a.obs.write_jsonl(path) {
-            eprintln!("[bcd] BCD_OBS export to {} failed: {e}", path.display());
-        }
-    }
     DualRun { a, b, matrix }
 }

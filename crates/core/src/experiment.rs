@@ -77,7 +77,7 @@ pub struct ExperimentConfig {
     /// (`None` = the full §3.1 list). The kept set is a hash of the
     /// canonical target address, so it is identical for any shard layout.
     /// Survey-tier batch jobs use this to bound the probe count over the
-    /// full 62k-AS world (the CI `survey-smoke` job).
+    /// full 62k-AS world (the CI `agreement-smoke` job).
     pub target_sample: Option<u64>,
     /// Schedule constructor: the streaming per-shard lane build (default)
     /// or the legacy-shaped global oracle. The two are byte-equal (the
@@ -230,8 +230,15 @@ impl Experiment {
     /// [`WorldRuntime`] over the same shared `Arc<Topology>`. Outcomes merge
     /// deterministically, so the returned data — and everything rendered
     /// from it — is byte-identical to a single-shard run.
+    ///
+    /// Observability comes from the environment ([`ObsEnv::from_env`]),
+    /// and the run's `BCD_OBS` / `BCD_TRACE out=` files are written
+    /// ([`ObsEnv::export`]) before it returns.
     pub fn run(cfg: ExperimentConfig) -> ExperimentData {
-        Experiment::run_observed(cfg, &ObsEnv::from_env())
+        let env = ObsEnv::from_env();
+        let data = Experiment::run_observed(cfg, &env);
+        env.export(&data.obs, data.flight.as_ref());
+        data
     }
 
     /// [`Experiment::run`] with explicit observability switches (tests and
@@ -239,9 +246,10 @@ impl Experiment {
     ///
     /// The returned data always carries a populated
     /// [`ExperimentData::obs`] — assembling it is a per-run-boundary cost,
-    /// not a hot-path one. `env` only controls the *sinks*: the JSONL
-    /// export (written here when `BCD_OBS` names a path) and the scanner's
-    /// stderr heartbeat.
+    /// not a hot-path one. `env` arms the scanner's stderr heartbeat and
+    /// the span flight recorder; this function writes no file. A caller
+    /// that wants the run's JSONL or Chrome trace calls [`ObsEnv::export`]
+    /// once, after its own last phase.
     pub fn run_observed(cfg: ExperimentConfig, env: &ObsEnv) -> ExperimentData {
         let mut profile = RunProfile::new();
         announce(env, "worldgen-build");
@@ -339,29 +347,6 @@ impl Experiment {
             aggregate,
             per_shard,
         };
-        if let Some(path) = &env.jsonl_path {
-            if let Err(e) = obs.write_jsonl(path) {
-                eprintln!("[bcd] BCD_OBS export to {} failed: {e}", path.display());
-            }
-        }
-        if let (Some(flight), Some(path)) = (
-            &merged.flight,
-            env.trace.as_ref().and_then(|t| t.chrome_out.as_ref()),
-        ) {
-            let json = bcd_obs::chrome_trace_json(flight, &obs.profile);
-            let write = || -> std::io::Result<()> {
-                if let Some(parent) = path.parent() {
-                    if !parent.as_os_str().is_empty() {
-                        std::fs::create_dir_all(parent)?;
-                    }
-                }
-                std::fs::write(path, json)
-            };
-            if let Err(e) = write() {
-                eprintln!("[bcd] BCD_TRACE export to {} failed: {e}", path.display());
-            }
-        }
-
         let public_dns: Vec<IpAddr> = world
             .public_dns_v4
             .iter()

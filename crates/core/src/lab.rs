@@ -99,8 +99,7 @@ pub fn measure_ports(software: DnsSoftware, os: Os, n_queries: usize, seed: u64)
         },
         Box::new(AuthServer::new(AuthServerConfig {
             zones: vec![root_zone, lab_zone],
-            log: log.clone(),
-            log_queries: true,
+            log: Some(log.clone()),
         })),
     );
 

@@ -19,17 +19,20 @@
 //! * **one pipeline** — the CRP pass records its `crp.*` phases into the
 //!   dual profile without moving method A's deterministic run report,
 //! * **survey tier** (`--ignored`) — the dual-method run over the full
-//!   `internet_scale` world stays inside the 8 GiB CI budget and still
-//!   agrees exactly. The CI `agreement-smoke` job runs it;
-//!   `BCD_SCALE_PROFILE=path.jsonl` exports the per-phase breakdown.
+//!   `internet_scale` world (keep-1-in-4096 targets) stays inside the
+//!   8 GiB CI budget, reproduces the Table 1/2 shape at survey level, and
+//!   still agrees exactly. The CI `agreement-smoke` job runs it;
+//!   `BCD_OBS=path.jsonl` exports the run, both passes' phases included.
 
+use bcd_core::analysis::reachability::Reachability;
 use bcd_core::invariants::InvariantChecker;
 use bcd_core::schedule::ScheduleMode;
 use bcd_core::{report, run_dual, DualRun, ExperimentConfig};
-use bcd_netsim::SimDuration;
+use bcd_netsim::{Asn, SimDuration};
 use bcd_obs::report::{names, render_run_report_deterministic};
-use bcd_obs::ObsEnv;
+use bcd_obs::{peak_rss_kib, ObsEnv};
 use bcd_worldgen::WorldConfig;
+use std::collections::HashSet;
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -203,36 +206,67 @@ fn assert_crp_phases(dual: &DualRun) {
     assert!(dual.b.shards >= 1 && dual.b.shards <= dual.a.cfg.shards);
 }
 
-/// Peak resident set size of this process in GiB (`VmHWM` from
-/// `/proc/self/status`). Linux-only, like the CI runner.
-fn peak_rss_gib() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
-    let kb: f64 = status
-        .lines()
-        .find(|l| l.starts_with("VmHWM:"))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .expect("VmHWM line")
-        .parse()
-        .expect("VmHWM value");
-    kb / (1024.0 * 1024.0)
-}
+/// Keep-1-in-N target sample of the survey-tier run.
+const SURVEY_SAMPLE: u64 = 4096;
 
 #[test]
 #[ignore = "release-mode batch job: dual-method survey over the full 62k-AS world"]
 fn dual_method_survey_within_budget() {
-    let sample: u64 = std::env::var("BCD_AGREEMENT_SAMPLE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8192);
     let mut cfg = ExperimentConfig::paper_shape(2019);
     cfg.world = WorldConfig::internet_scale(2019);
-    cfg.target_sample = Some(sample);
+    cfg.target_sample = Some(SURVEY_SAMPLE);
+    // Ask for a short window and let the rate cap extend it: the probe
+    // count is what it is, and a dense schedule keeps sim time bounded.
     cfg.window = SimDuration::from_mins(5);
+    let env = ObsEnv::from_env();
     let t0 = std::time::Instant::now();
-    let dual = run_dual(cfg, &ObsEnv::from_env());
+    let dual = run_dual(cfg, &env);
     let run_secs = t0.elapsed().as_secs_f64();
+    env.export(&dual.a.obs, dual.a.flight.as_ref());
     assert_crp_phases(&dual);
 
+    // ---- Method A at survey level. Table 1 shape: the *full* target
+    // population was extracted (sampling happens at schedule time, not
+    // extraction time).
+    let a = &dual.a;
+    let n_targets = a.targets.len();
+    assert!(
+        (8_000_000..=16_000_000).contains(&n_targets),
+        "targets: {n_targets}"
+    );
+    // The keep set is a hash over canonical target bytes — binomial
+    // around n/N. Allow a generous band around the expectation.
+    let expected_kept = n_targets as u64 / SURVEY_SAMPLE;
+    let kept = a.obs.aggregate.counter(names::SCHEDULE_TARGETS, &[]);
+    assert!(
+        kept >= expected_kept / 2 && kept <= expected_kept * 2,
+        "sampled targets {kept} implausible for keep-1-in-{SURVEY_SAMPLE} of {n_targets}"
+    );
+    assert_eq!(
+        a.obs.aggregate.counter(names::SCHEDULE_PROBES, &[]),
+        a.scanner_stats.spoofed_sent + a.scanner_stats.opted_out,
+        "schedule probe accounting must conserve through the scanner"
+    );
+    // The survey actually ran: spoofed probes went out, the authoritative
+    // log filled, and reached populations are non-trivial.
+    assert!(a.scanner_stats.spoofed_sent > 0, "no spoofed probes sent");
+    assert!(!a.entries.is_empty(), "authoritative log is empty");
+    let reach = Reachability::compute(&a.input());
+    let reached_asns: HashSet<Asn> = reach.reached.values().map(|h| h.asn).collect();
+    assert!(!reach.reached.is_empty(), "no target reached");
+    assert!(
+        reached_asns.len() >= 10,
+        "reached ASNs: {} — survey shape collapsed",
+        reached_asns.len()
+    );
+    // Table 2 shape: both families appear among reached targets (v6 is
+    // >100k targets before sampling).
+    assert!(
+        reach.reached.keys().any(|a| a.is_ipv6()),
+        "no v6 target reached"
+    );
+
+    // ---- The cross-method verdict.
     let m = &dual.matrix;
     assert!(
         m.universe > 100,
@@ -246,13 +280,20 @@ fn dual_method_survey_within_budget() {
     let inv = InvariantChecker::check_agreement(m, true);
     assert!(inv.is_ok(), "{}", inv.render());
     assert!(m.is_exact(), "survey-scale divergence from ground truth");
-    assert!(!dual.a.budget_exhausted && !dual.b.budget_exhausted);
+    assert!(
+        !a.budget_exhausted && !dual.b.budget_exhausted,
+        "a shard hit its event budget"
+    );
 
     // Per-phase wall/RSS breakdown, both passes (the CRP pass under its
-    // `crp.` prefix), as the survey-smoke job exports it.
-    for p in &dual.a.obs.profile.phases {
+    // `crp.` prefix), then the deterministic run report and the matrix.
+    for p in &a.obs.profile.phases {
+        let rss_gib = p
+            .rss_peak_kib
+            .map(|k| k as f64 / (1024.0 * 1024.0))
+            .unwrap_or(f64::NAN);
         eprintln!(
-            "agreement-profile: {:<20} {:>8.2}s",
+            "agreement-profile: {:<20} {:>8.2}s  rss-peak {rss_gib:.2} GiB",
             match p.shard {
                 Some(sid) => format!("{}[{sid}]", p.name),
                 None => p.name.clone(),
@@ -260,21 +301,19 @@ fn dual_method_survey_within_budget() {
             p.wall.as_secs_f64()
         );
     }
-    if let Ok(path) = std::env::var("BCD_SCALE_PROFILE") {
-        dual.a
-            .obs
-            .write_jsonl(std::path::Path::new(&path))
-            .expect("write BCD_SCALE_PROFILE export");
-        eprintln!("agreement-profile: exported to {path}");
-    }
-    if let Ok(path) = std::env::var("BCD_AGREEMENT_REPORT") {
-        std::fs::write(&path, report::render_agreement(m)).expect("write BCD_AGREEMENT_REPORT");
-        eprintln!("agreement-report: exported to {path}");
-    }
-    let rss = peak_rss_gib();
+    eprintln!("{}", render_run_report_deterministic(&a.obs));
+    eprintln!("{}", report::render_agreement(m));
+
+    // ---- Resource budget: the streaming per-shard schedule constructor
+    // is what keeps both passes under the build's own watermark.
+    let rss = peak_rss_kib().expect("VmHWM") as f64 / (1024.0 * 1024.0);
     eprintln!(
-        "agreement_smoke: ran in {run_secs:.1}s, peak RSS {rss:.2} GiB, universe {} ASes, \
-         {} agree-open, {} agree-closed, {} CRP probes",
+        "agreement_smoke: ran in {run_secs:.1}s, peak RSS {rss:.2} GiB, {} spoofed probes, \
+         {} reached addrs, {} reached ASNs, universe {} ASes, {} agree-open, \
+         {} agree-closed, {} CRP probes",
+        a.scanner_stats.spoofed_sent,
+        reach.reached.len(),
+        reached_asns.len(),
         m.universe,
         m.agree_open.len(),
         m.agree_closed.len(),

@@ -7,9 +7,9 @@
 //! how the run was split. This is the metrics-side companion of
 //! `shard_equivalence.rs` (which pins the analysis renders).
 
-use bcd_core::{Experiment, ExperimentConfig};
+use bcd_core::{run_dual, Experiment, ExperimentConfig};
 use bcd_obs::report::{names, render_run_report_deterministic};
-use bcd_obs::{deterministic_jsonl, full_jsonl, ObsEnv};
+use bcd_obs::{deterministic_jsonl, full_jsonl, ObsEnv, TraceConfig};
 
 fn run(seed: u64, shards: usize) -> (String, String, bcd_core::ExperimentData) {
     let mut cfg = ExperimentConfig::tiny(seed);
@@ -94,4 +94,38 @@ fn profile_records_every_pipeline_phase() {
         .count();
     assert_eq!(shard_runs, data.obs.shards);
     assert!(data.obs.profile.sim_horizon().is_some());
+}
+
+/// The pipeline writes no file: with both sinks named, neither
+/// `run_observed` nor `run_dual` creates them. Only `ObsEnv::export` does,
+/// once the caller has recorded its last phase.
+#[test]
+fn pipeline_writes_no_files_until_export() {
+    let dir = std::env::temp_dir().join(format!("bcd-pipeline-sinks-{}", std::process::id()));
+    let (jsonl, chrome) = (dir.join("run.jsonl"), dir.join("trace.json"));
+    let env = ObsEnv {
+        jsonl_path: Some(jsonl.clone()),
+        trace: Some(TraceConfig {
+            chrome_out: Some(chrome.clone()),
+            ..TraceConfig::default()
+        }),
+        ..ObsEnv::disabled()
+    };
+    let data = Experiment::run_observed(ExperimentConfig::tiny(7), &env);
+    assert!(
+        data.flight.is_some(),
+        "the armed recorder must reach the data"
+    );
+    let dual = run_dual(ExperimentConfig::tiny(7), &env);
+    assert!(!jsonl.exists(), "the pipeline wrote {}", jsonl.display());
+    assert!(!chrome.exists(), "the pipeline wrote {}", chrome.display());
+
+    env.export(&dual.a.obs, dual.a.flight.as_ref());
+    let text = std::fs::read_to_string(&jsonl).unwrap();
+    assert_eq!(text, full_jsonl(&dual.a.obs));
+    assert!(text.contains(names::AGREEMENT_UNIVERSE), "{text}");
+    assert!(std::fs::read_to_string(&chrome)
+        .unwrap()
+        .contains("\"agreement\""));
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -21,11 +21,9 @@ pub struct AuthServerConfig {
     /// Zones this server is authoritative for (and infrastructure zones it
     /// serves referrals from).
     pub zones: Vec<Zone>,
-    /// Shared query log (the experiment's measurement instrument).
-    pub log: SharedLog,
-    /// Whether to log queries at all (the root servers log — that's the
-    /// DITL collection; the generic TLD sink does not need to).
-    pub log_queries: bool,
+    /// Query log every answered query is appended to (the experiment's
+    /// measurement instrument); `None` logs nothing.
+    pub log: Option<SharedLog>,
 }
 
 /// The authoritative server node.
@@ -140,10 +138,10 @@ impl AuthServer {
         Some(resp)
     }
 
-    fn log(&mut self, ctx: &NodeCtx<'_>, pkt: &Packet, qname: Name, proto: LogProto) {
-        if !self.cfg.log_queries {
+    fn log(&self, ctx: &NodeCtx<'_>, pkt: &Packet, qname: &Name, proto: LogProto) {
+        let Some(log) = &self.cfg.log else {
             return;
-        }
+        };
         let syn = if proto == LogProto::Tcp {
             self.syn_seen
                 .get(&(pkt.src, pkt.transport.src_port()))
@@ -151,12 +149,12 @@ impl AuthServer {
         } else {
             None
         };
-        self.cfg.log.borrow_mut().push(QueryLogEntry {
+        log.borrow_mut().push(QueryLogEntry {
             time: ctx.now(),
             src: pkt.src,
             server: pkt.dst,
             src_port: pkt.transport.src_port(),
-            qname,
+            qname: qname.clone(),
             proto,
             observed_ttl: pkt.ttl,
             syn,
@@ -179,7 +177,7 @@ impl Node for AuthServer {
                 };
                 self.udp_queries += 1;
                 if let Some(q) = query.question() {
-                    self.log(ctx, &pkt, q.name.clone(), LogProto::Udp);
+                    self.log(ctx, &pkt, &q.name, LogProto::Udp);
                 }
                 ctx.span(pkt.trace, bcd_netsim::SpanKind::Reply, || {
                     format!("auth {} udp rcode={:?}", pkt.dst, resp.header.rcode)
@@ -234,7 +232,7 @@ impl Node for AuthServer {
                     };
                     self.tcp_queries += 1;
                     if let Some(q) = query.question() {
-                        self.log(ctx, &pkt, q.name.clone(), LogProto::Tcp);
+                        self.log(ctx, &pkt, &q.name, LogProto::Tcp);
                     }
                     ctx.span(pkt.trace, bcd_netsim::SpanKind::Reply, || {
                         format!("auth {} tcp rcode={:?}", pkt.dst, resp.header.rcode)
@@ -283,8 +281,7 @@ mod tests {
         ];
         AuthServer::new(AuthServerConfig {
             zones,
-            log: shared_log(),
-            log_queries: true,
+            log: Some(shared_log()),
         })
     }
 
@@ -359,11 +356,7 @@ mod tests {
     #[test]
     fn wildcard_mode_synthesizes() {
         let zones = vec![Zone::new(n("dns-lab.org"), ZoneMode::Wildcard)];
-        let s = AuthServer::new(AuthServerConfig {
-            zones,
-            log: shared_log(),
-            log_queries: false,
-        });
+        let s = AuthServer::new(AuthServerConfig { zones, log: None });
         let q = Message::query(7, n("anything.at.all.dns-lab.org"), RType::A);
         let resp = s.answer(&q, false).unwrap();
         assert_eq!(resp.header.rcode, RCode::NoError);
@@ -382,11 +375,7 @@ mod tests {
                 RData::A("203.0.113.1".parse().unwrap()),
             )]),
         }];
-        let s = AuthServer::new(AuthServerConfig {
-            zones,
-            log: shared_log(),
-            log_queries: false,
-        });
+        let s = AuthServer::new(AuthServerConfig { zones, log: None });
         let hit = s
             .answer(&Message::query(8, n("www.org"), RType::A), false)
             .unwrap();

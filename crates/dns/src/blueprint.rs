@@ -8,11 +8,9 @@
 //! turns into a live [`Node`].
 //!
 //! The one thing a blueprint cannot carry is the query log — [`SharedLog`]
-//! is an `Rc<RefCell<..>>` confined to its runtime's thread. Blueprints
-//! therefore store a *log slot index*, and each runtime passes its own
-//! freshly created logs at instantiation time. Slot assignments are the
-//! world builder's contract (in `bcd-worldgen`: slot 0 = experiment log,
-//! slot 1 = root/DITL log).
+//! is an `Rc<RefCell<..>>` confined to its runtime's thread. An `Auth`
+//! blueprint therefore only says *whether* it logs, and each runtime passes
+//! its own freshly created log at instantiation time.
 
 use crate::auth::{AuthServer, AuthServerConfig};
 use crate::interceptor::Interceptor;
@@ -25,14 +23,9 @@ use std::net::IpAddr;
 /// A host behaviour recipe. One per topology host, in host-id order.
 #[derive(Debug, Clone)]
 pub enum NodeBlueprint {
-    /// An authoritative server: zones, which log slot it writes to, and
-    /// whether it logs at all.
-    Auth {
-        zones: Vec<Zone>,
-        /// Index into the runtime's log-slot table.
-        log: usize,
-        log_queries: bool,
-    },
+    /// An authoritative server: its zones, and whether it appends the
+    /// queries it answers to the runtime's query log.
+    Auth { zones: Vec<Zone>, logged: bool },
     /// A recursive resolver (fully described by its config).
     Resolver(ResolverConfig),
     /// A transparent DNS middlebox proxying to `upstream`.
@@ -42,18 +35,13 @@ pub enum NodeBlueprint {
 }
 
 impl NodeBlueprint {
-    /// Construct a fresh node from this blueprint. `logs` is the runtime's
-    /// log-slot table; only `Auth` blueprints consult it.
-    pub fn instantiate(&self, logs: &[SharedLog]) -> Box<dyn Node> {
+    /// Construct a fresh node from this blueprint. `log` is the runtime's
+    /// query log; only a logged `Auth` blueprint writes to it.
+    pub fn instantiate(&self, log: &SharedLog) -> Box<dyn Node> {
         match self {
-            NodeBlueprint::Auth {
-                zones,
-                log,
-                log_queries,
-            } => Box::new(AuthServer::new(AuthServerConfig {
+            NodeBlueprint::Auth { zones, logged } => Box::new(AuthServer::new(AuthServerConfig {
                 zones: zones.clone(),
-                log: logs[*log].clone(),
-                log_queries: *log_queries,
+                log: logged.then(|| log.clone()),
             })),
             NodeBlueprint::Resolver(cfg) => Box::new(RecursiveResolver::new(cfg.clone())),
             NodeBlueprint::Interceptor { upstream } => Box::new(Interceptor::new(*upstream)),

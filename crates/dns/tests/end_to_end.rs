@@ -66,8 +66,7 @@ fn build_world(
         },
         Box::new(AuthServer::new(AuthServerConfig {
             zones: vec![root_zone],
-            log: log.clone(),
-            log_queries: false,
+            log: None,
         })),
     );
 
@@ -84,8 +83,7 @@ fn build_world(
         },
         Box::new(AuthServer::new(AuthServerConfig {
             zones: vec![org_zone],
-            log: log.clone(),
-            log_queries: false,
+            log: None,
         })),
     );
 
@@ -103,8 +101,7 @@ fn build_world(
         },
         Box::new(AuthServer::new(AuthServerConfig {
             zones: vec![lab_zone, tcp_zone],
-            log: log.clone(),
-            log_queries: true,
+            log: Some(log.clone()),
         })),
     );
 

@@ -68,8 +68,7 @@ fn world(
         },
         Box::new(AuthServer::new(AuthServerConfig {
             zones: vec![root, Zone::new(n("zone.test"), ZoneMode::Wildcard)],
-            log: log.clone(),
-            log_queries: true,
+            log: Some(log.clone()),
         })),
     );
     let resolver = net.add_host(
@@ -160,7 +159,6 @@ fn refused_upstream_rotates_to_working_server() {
     net.add_simple_as(Asn(2), BorderPolicy::open());
     net.announce(pre("20.0.0.0/24"), Asn(1));
     net.announce(pre("21.0.0.0/24"), Asn(2));
-    let log = shared_log();
     let bad = ip("20.0.0.66");
     let good = ip("20.0.0.53");
     let root = Zone::new(Name::root(), ZoneMode::Static(vec![]))
@@ -175,8 +173,7 @@ fn refused_upstream_rotates_to_working_server() {
         },
         Box::new(AuthServer::new(AuthServerConfig {
             zones: vec![root, Zone::new(n("zone.test"), ZoneMode::Wildcard)],
-            log: log.clone(),
-            log_queries: false,
+            log: None,
         })),
     );
     net.add_host(
@@ -187,8 +184,7 @@ fn refused_upstream_rotates_to_working_server() {
         },
         Box::new(AuthServer::new(AuthServerConfig {
             zones: vec![Zone::new(n("other.test"), ZoneMode::Wildcard)],
-            log: log.clone(),
-            log_queries: false,
+            log: None,
         })),
     );
     let resolver = net.add_host(
@@ -252,8 +248,7 @@ fn middlebox_intercepts_inside_the_engine() {
         },
         Box::new(AuthServer::new(AuthServerConfig {
             zones: vec![root, Zone::new(n("zone.test"), ZoneMode::Wildcard)],
-            log: log.clone(),
-            log_queries: true,
+            log: Some(log.clone()),
         })),
     );
     // Public upstream resolver in the infra AS.
@@ -330,8 +325,7 @@ fn negative_cache_suppresses_repeat_upstream_traffic() {
         },
         Box::new(AuthServer::new(AuthServerConfig {
             zones: vec![root, Zone::new(n("zone.test"), ZoneMode::Nxdomain)],
-            log: log.clone(),
-            log_queries: true,
+            log: Some(log.clone()),
         })),
     );
     let resolver = net.add_host(
@@ -397,8 +391,7 @@ fn duplicated_tcp_answer_does_not_panic_the_resolver() {
             // TruncateUdp forces TC=1 over UDP; the real answer only
             // arrives over the TCP retry — the path under test.
             zones: vec![root, Zone::new(n("zone.test"), ZoneMode::TruncateUdp)],
-            log: log.clone(),
-            log_queries: true,
+            log: Some(log.clone()),
         })),
     );
     let resolver = net.add_host(

@@ -175,11 +175,6 @@ pub fn full_jsonl(obs: &RunObservation) -> String {
     out
 }
 
-/// Write the full export to `path` ([`RunObservation::write_jsonl`]).
-pub fn export_jsonl(obs: &RunObservation, path: &std::path::Path) -> std::io::Result<()> {
-    obs.write_jsonl(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -37,14 +37,16 @@
 //!   to.
 //! * [`RunObservation`] — one run's full observability artifact:
 //!   profile + deterministic aggregate + per-shard slices.
-//! * [`export`] — a structured JSONL exporter (`BCD_OBS=path.jsonl`), one
-//!   self-describing record per line, `det` flag on every record.
+//! * [`export`] — a structured JSONL encoder, one self-describing record
+//!   per line, `det` flag on every record.
 //! * [`report`] — the human-readable "run report" renderer (full, and a
 //!   deterministic-only variant that the golden snapshot pins).
 //! * [`ObsEnv`] — the zero-cost-when-disabled handle: reading the
 //!   environment once yields either no-op sinks (default: no export, no
 //!   heartbeat) or the configured ones; hot paths only ever consult plain
-//!   `Option`s.
+//!   `Option`s. [`ObsEnv::export`] is the one writer of a run's files (the
+//!   `BCD_OBS` JSONL and the `BCD_TRACE` Chrome trace): the pipeline
+//!   writes none, and each caller exports once, after its last phase.
 
 pub mod chrome;
 pub mod export;
@@ -53,12 +55,12 @@ pub mod profile;
 pub mod report;
 
 pub use chrome::chrome_trace_json;
-pub use export::{deterministic_jsonl, export_jsonl, full_jsonl};
+pub use export::{deterministic_jsonl, full_jsonl};
 pub use metrics::{Det, Histogram, MetricKey, MetricValue, MetricsRegistry};
 pub use profile::{peak_rss_kib, PhaseRecord, RunProfile};
 
-use bcd_netsim::TraceSample;
-use std::path::PathBuf;
+use bcd_netsim::{FlightRecorder, TraceSample};
+use std::path::{Path, PathBuf};
 
 /// One run's complete observability artifact, assembled by the experiment
 /// orchestrator after the merge.
@@ -78,19 +80,6 @@ pub struct RunObservation {
     pub per_shard: Vec<MetricsRegistry>,
 }
 
-impl RunObservation {
-    /// Serialize and write the full JSONL export, creating parent
-    /// directories as needed.
-    pub fn write_jsonl(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, full_jsonl(self))
-    }
-}
-
 /// Causal-tracing configuration (the `BCD_TRACE` knob).
 ///
 /// Grammar: comma-separated `key=value` settings —
@@ -103,7 +92,8 @@ pub struct TraceConfig {
     pub sample: TraceSample,
     /// Flight-recorder window capacity in spans (`cap=N`).
     pub capacity: usize,
-    /// Write the Chrome trace-event JSON here after the run (`out=path`).
+    /// Write the Chrome trace-event JSON here ([`ObsEnv::export`];
+    /// `out=path`).
     pub chrome_out: Option<PathBuf>,
 }
 
@@ -167,7 +157,8 @@ impl TraceConfig {
 /// struct, so the disabled cost is an untaken branch.
 #[derive(Debug, Clone, Default)]
 pub struct ObsEnv {
-    /// `BCD_OBS=path.jsonl` — write the structured export here.
+    /// `BCD_OBS=path.jsonl` — [`ObsEnv::export`] writes the full JSONL
+    /// export here.
     pub jsonl_path: Option<PathBuf>,
     /// `BCD_PROGRESS=N` — scanner heartbeat to stderr every N probes
     /// (`0`, empty, or unset disables; anything but a non-negative
@@ -215,6 +206,38 @@ impl ObsEnv {
     /// True if any sink is active.
     pub fn enabled(&self) -> bool {
         self.jsonl_path.is_some() || self.progress_every.is_some() || self.trace.is_some()
+    }
+
+    /// Write a finished run's files: the full JSONL export to `BCD_OBS`'s
+    /// path and, when the run kept a flight recorder, the Chrome trace to
+    /// `BCD_TRACE`'s `out=` path, creating parent directories. Call it once,
+    /// after the run's last phase is recorded, so both files carry every
+    /// phase. A failed write is reported on stderr, naming the variable and
+    /// the path; it does not stop the run.
+    pub fn export(&self, obs: &RunObservation, flight: Option<&FlightRecorder>) {
+        if let Some(path) = &self.jsonl_path {
+            write_sink("BCD_OBS", path, &full_jsonl(obs));
+        }
+        let chrome_out = self.trace.as_ref().and_then(|t| t.chrome_out.as_ref());
+        if let (Some(flight), Some(path)) = (flight, chrome_out) {
+            write_sink("BCD_TRACE", path, &chrome_trace_json(flight, &obs.profile));
+        }
+    }
+}
+
+/// Write `contents` to `path`, creating parent directories; a failure is
+/// reported on stderr under the variable that named the path.
+fn write_sink(var: &str, path: &Path, contents: &str) {
+    let write = || -> std::io::Result<()> {
+        if let Some(parent) = path.parent() {
+            if !parent.as_os_str().is_empty() {
+                std::fs::create_dir_all(parent)?;
+            }
+        }
+        std::fs::write(path, contents)
+    };
+    if let Err(e) = write() {
+        eprintln!("[bcd] {var} export to {} failed: {e}", path.display());
     }
 }
 
@@ -304,18 +327,36 @@ mod tests {
     }
 
     #[test]
-    fn observation_roundtrips_to_disk() {
+    fn export_writes_both_sinks_into_new_directories() {
         let mut obs = RunObservation {
             seed: 7,
             shards: 2,
             ..RunObservation::default()
         };
         obs.aggregate.add_counter("x.count", &[], Det::Stable, 3);
-        let dir = std::env::temp_dir().join("bcd-obs-test");
-        let path = dir.join("nested").join("run.jsonl");
-        obs.write_jsonl(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"x.count\""));
-        std::fs::remove_dir_all(&dir).ok();
+        obs.profile
+            .record("report", std::time::Duration::from_millis(2));
+        let dir = std::env::temp_dir().join(format!("bcd-obs-export-{}", std::process::id()));
+        let jsonl = dir.join("a").join("run.jsonl");
+        let chrome = dir.join("b").join("c").join("trace.json");
+        let env = ObsEnv {
+            jsonl_path: Some(jsonl.clone()),
+            trace: Some(TraceConfig {
+                chrome_out: Some(chrome.clone()),
+                ..TraceConfig::default()
+            }),
+            ..ObsEnv::disabled()
+        };
+        // Without a flight recorder there is no trace to write.
+        env.export(&obs, None);
+        assert_eq!(std::fs::read_to_string(&jsonl).unwrap(), full_jsonl(&obs));
+        assert!(!chrome.exists());
+
+        let flight = FlightRecorder::with_capacity(16);
+        env.export(&obs, Some(&flight));
+        let trace = std::fs::read_to_string(&chrome).unwrap();
+        assert_eq!(trace, chrome_trace_json(&flight, &obs.profile));
+        assert!(trace.contains("\"report\""), "{trace}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

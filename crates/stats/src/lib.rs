@@ -15,8 +15,7 @@
 //! * [`occupancy`] — the probability of observing at most `k` distinct
 //!   values in `n` draws from a pool of size `s` (the §5.2.3 "0.066%, or 1
 //!   in 1,500" computation),
-//! * [`hist`] — plain and stacked histograms used to render Figures 2/3,
-//! * [`summary`] — means, medians, percentiles.
+//! * [`hist`] — plain and stacked histograms used to render Figures 2/3.
 
 pub mod beta;
 pub mod cutoff;
@@ -24,7 +23,6 @@ pub mod gamma;
 pub mod hist;
 pub mod occupancy;
 pub mod range;
-pub mod summary;
 
 pub use beta::Beta;
 pub use cutoff::optimal_cutoff;

@@ -59,12 +59,6 @@ pub struct ScannerSlot {
     pub v6: IpAddr,
 }
 
-/// Log-slot index of the experiment estate's query log (`dns-lab.org` +
-/// follow-up zones) in a [`WorldRuntime`].
-pub const LOG_EXPERIMENT: usize = 0;
-/// Log-slot index of the root servers' query log (the DITL instrument).
-pub const LOG_ROOT: usize = 1;
-
 /// A fully built world: the immutable topology, the behaviour blueprint for
 /// every host, and the ground-truth registry.
 ///
@@ -117,13 +111,11 @@ pub struct World {
 }
 
 /// A live engine spawned from a [`World`]: a [`Runtime`] over the shared
-/// topology plus this runtime's own (thread-local) query logs.
+/// topology plus this runtime's own (thread-local) query log.
 pub struct WorldRuntime {
     pub net: Runtime,
     /// Query log of the experiment estate (`dns-lab.org` + follow-up zones).
     pub log: SharedLog,
-    /// Query log of the root servers (the DITL instrument).
-    pub root_log: SharedLog,
 }
 
 impl World {
@@ -148,7 +140,7 @@ impl World {
             .unwrap_or(false)
     }
 
-    /// Instantiate a live engine over the shared topology: fresh query logs,
+    /// Instantiate a live engine over the shared topology: a fresh query log,
     /// fresh nodes from the blueprints, fresh per-host RNG streams. Nodes are
     /// constructed in host-id order from the same configs `build` produced,
     /// so every spawn behaves exactly like a freshly built world — without
@@ -174,8 +166,6 @@ impl World {
     /// holds ~1/S of the million-host node table.
     pub fn spawn_for(&self, owned: Option<&HashSet<Asn>>) -> WorldRuntime {
         let log = shared_log();
-        let root_log = shared_log();
-        let logs = [log.clone(), root_log.clone()];
         let sink = NodeBlueprint::Sink;
         let nodes = self
             .blueprints
@@ -193,15 +183,15 @@ impl World {
                     }
                 };
                 if live {
-                    b.instantiate(&logs)
+                    b.instantiate(&log)
                 } else {
-                    sink.instantiate(&logs)
+                    sink.instantiate(&log)
                 }
             })
             .collect();
         let mut net = Runtime::new(Arc::clone(&self.topo), nodes);
         net.set_faults(self.faults.clone());
-        WorldRuntime { net, log, root_log }
+        WorldRuntime { net, log }
     }
 }
 
@@ -290,7 +280,8 @@ pub fn build(cfg: WorldConfig) -> World {
     let tcp_apex: Name = "tcp.dns-lab.org".parse().unwrap();
     let org: Name = "org".parse().unwrap();
 
-    // Root servers (logging = the DITL collection instrument).
+    // Root servers. The DITL traces are synthesized (`crate::ditl`), so the
+    // simulated roots keep no log.
     let root_zone = Zone::new(Name::root(), ZoneMode::Static(vec![])).delegate(
         org.clone(),
         vec![("a0.org".parse().unwrap(), vec![org_v4, org_v6])],
@@ -303,8 +294,7 @@ pub fn build(cfg: WorldConfig) -> World {
         },
         NodeBlueprint::Auth {
             zones: vec![root_zone],
-            log: LOG_ROOT,
-            log_queries: true,
+            logged: false,
         },
     );
 
@@ -321,8 +311,7 @@ pub fn build(cfg: WorldConfig) -> World {
         },
         NodeBlueprint::Auth {
             zones: vec![org_zone],
-            log: LOG_ROOT,
-            log_queries: false,
+            logged: false,
         },
     );
 
@@ -348,8 +337,7 @@ pub fn build(cfg: WorldConfig) -> World {
         },
         NodeBlueprint::Auth {
             zones: vec![lab_zone],
-            log: LOG_EXPERIMENT,
-            log_queries: true,
+            logged: true,
         },
     );
     // f4: IPv4-only server; f6: IPv6-only; tcp: dual-stack TC zone.
@@ -376,8 +364,7 @@ pub fn build(cfg: WorldConfig) -> World {
             },
             NodeBlueprint::Auth {
                 zones: vec![zone],
-                log: LOG_EXPERIMENT,
-                log_queries: true,
+                logged: true,
             },
         ));
     }

@@ -18,7 +18,7 @@ pub mod ditl;
 pub mod hitlist;
 pub mod profile;
 
-pub use build::{AuthEstate, ScannerSlot, World, WorldRuntime, LOG_EXPERIMENT, LOG_ROOT};
+pub use build::{AuthEstate, ScannerSlot, World, WorldRuntime};
 pub use config::WorldConfig;
 pub use ditl::DitlRecord;
 pub use hitlist::Hitlist;

@@ -6,30 +6,16 @@
 //! The test doubles as the scale profiler: each stage records a
 //! [`bcd_obs::RunProfile`] phase with the process peak-RSS watermark
 //! stamped at completion, the breakdown prints with `--nocapture`, and
-//! `BCD_SCALE_PROFILE=path.jsonl` exports it for the CI artifact — so a
-//! memory blow-up names the phase that allocated, not just the total.
+//! `BCD_OBS=path.jsonl` exports it for the CI artifact — so a memory
+//! blow-up names the phase that allocated, not just the total.
 //!
 //! Ignored by default: this is a release-mode batch job (`cargo test -r
 //! -p bcd-worldgen -- --ignored internet_scale`), not part of tier-1. The
 //! CI `scale-smoke` job runs it.
 
-use bcd_obs::{RunObservation, RunProfile};
+use bcd_obs::{peak_rss_kib, ObsEnv, RunObservation, RunProfile};
 use bcd_worldgen::{build, WorldConfig};
 use std::time::Instant;
-
-/// Peak resident set size of this process in GiB (`VmHWM` from
-/// `/proc/self/status`). Linux-only, like the CI runner.
-fn peak_rss_gib() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
-    let kb: f64 = status
-        .lines()
-        .find(|l| l.starts_with("VmHWM:"))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .expect("VmHWM line")
-        .parse()
-        .expect("VmHWM value");
-    kb / (1024.0 * 1024.0)
-}
 
 #[test]
 #[ignore = "release-mode batch job: builds the full 62k-AS world"]
@@ -117,20 +103,16 @@ fn internet_scale_world_builds_within_budget() {
             "VmHWM must be readable on the Linux CI runner"
         );
     }
-    if let Ok(path) = std::env::var("BCD_SCALE_PROFILE") {
-        let obs = RunObservation {
-            seed: 2019,
-            shards: 1,
-            profile: profile.clone(),
-            ..RunObservation::default()
-        };
-        obs.write_jsonl(std::path::Path::new(&path))
-            .expect("write BCD_SCALE_PROFILE export");
-        eprintln!("scale-profile: exported to {path}");
-    }
+    let obs = RunObservation {
+        seed: 2019,
+        shards: 1,
+        profile,
+        ..RunObservation::default()
+    };
+    ObsEnv::from_env().export(&obs, None);
 
     // ---- resource budget: the acceptance bar is < 8 GiB peak RSS.
-    let rss = peak_rss_gib();
+    let rss = peak_rss_kib().expect("VmHWM") as f64 / (1024.0 * 1024.0);
     eprintln!(
         "internet_scale: built in {build_secs:.1}s, peak RSS {rss:.2} GiB, \
          {n_targets} targets, {live} live, {} candidates",

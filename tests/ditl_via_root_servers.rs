@@ -44,8 +44,7 @@ fn warmup_through_real_root_servers_yields_extractable_targets() {
         },
         Box::new(AuthServer::new(AuthServerConfig {
             zones: vec![Zone::new(Name::root(), ZoneMode::Static(vec![]))],
-            log: root_log.clone(),
-            log_queries: true,
+            log: Some(root_log.clone()),
         })),
     );
 
