@@ -44,7 +44,12 @@ impl TargetSet {
     /// Run the extraction pipeline over a DITL trace.
     pub fn extract(trace: &[DitlRecord], routes: &PrefixTable) -> TargetSet {
         let unique: BTreeSet<IpAddr> = trace.iter().map(|r| r.src).collect();
-        Self::from_unique_sources(unique.into_iter(), routes)
+        let mut out = TargetSet::default();
+        let mut origins = routes.origin_sweep();
+        for addr in unique {
+            out.push_source(addr, origins.get(addr));
+        }
+        out
     }
 
     /// Run the back half of the pipeline (steps 3–5) over an already
@@ -60,6 +65,7 @@ impl TargetSet {
     /// `debug_assert!` and double-count).
     pub fn from_candidates(unique_sorted: &[IpAddr], routes: &PrefixTable) -> TargetSet {
         let mut out = TargetSet::default();
+        let mut origins = routes.origin_sweep();
         let mut last: Option<IpAddr> = None;
         for &addr in unique_sorted {
             if last.is_some_and(|l| addr <= l) {
@@ -67,7 +73,7 @@ impl TargetSet {
                 continue;
             }
             last = Some(addr);
-            out.push_source(addr, routes);
+            out.push_source(addr, origins.get(addr));
         }
         debug_assert_eq!(
             out.excluded_unsorted, 0,
@@ -76,24 +82,14 @@ impl TargetSet {
         out
     }
 
-    fn from_unique_sources(
-        unique: impl Iterator<Item = IpAddr>,
-        routes: &PrefixTable,
-    ) -> TargetSet {
-        let mut out = TargetSet::default();
-        for addr in unique {
-            out.push_source(addr, routes);
-        }
-        out
-    }
-
-    /// Exclusion/attribution for one unique candidate (steps 3–5).
-    fn push_source(&mut self, addr: IpAddr, routes: &PrefixTable) {
+    /// Exclusion/attribution for one unique candidate (steps 3–5), given
+    /// its origin AS.
+    fn push_source(&mut self, addr: IpAddr, origin: Option<Asn>) {
         if special::is_special_purpose(addr) {
             self.excluded_special += 1;
             return;
         }
-        let Some(asn) = routes.origin(addr) else {
+        let Some(asn) = origin else {
             self.excluded_unrouted += 1;
             return;
         };

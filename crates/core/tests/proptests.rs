@@ -298,6 +298,74 @@ proptest! {
         }
     }
 
+    /// Both extraction entry points give the same target set on one trace
+    /// (the materialized trace's `extract` and the streamed, deduplicated
+    /// source list's `from_candidates`), and it equals one `origin` lookup
+    /// per unique source. Sources repeat, and mix routed, unrouted and
+    /// special-purpose space in both families.
+    #[test]
+    fn extract_and_from_candidates_agree(
+        srcs in proptest::collection::vec(
+            prop_oneof![
+                (0u32..4, 0u32..512).prop_map(|(net, host)| IpAddr::V4(Ipv4Addr::from(
+                    [0x1100_0000u32, 0x1200_0000, 0x0A00_0000, 0x1300_0000][net as usize] | host
+                ))),
+                (0u128..3, 0u128..64).prop_map(|(net, host)| IpAddr::V6(Ipv6Addr::from(
+                    [0x2600_0001u128 << 96, 0x2600_0002 << 96, 0xfc00 << 112][net as usize] | host
+                ))),
+            ],
+            0..80,
+        ),
+        dup in proptest::collection::vec(any::<usize>(), 0..20),
+    ) {
+        let mut routes = PrefixTable::new();
+        routes.announce("17.0.0.0/8".parse::<Prefix>().unwrap(), Asn(1));
+        routes.announce("17.0.1.0/24".parse::<Prefix>().unwrap(), Asn(2));
+        routes.announce("17.0.1.7/32".parse::<Prefix>().unwrap(), Asn(3));
+        routes.announce("18.0.0.0/16".parse::<Prefix>().unwrap(), Asn(4));
+        routes.announce("2600:1::/32".parse::<Prefix>().unwrap(), Asn(5));
+        routes.announce("2600:1::8/125".parse::<Prefix>().unwrap(), Asn(6));
+        let mut trace_srcs = srcs.clone();
+        if !srcs.is_empty() {
+            trace_srcs.extend(dup.iter().map(|i| srcs[i % srcs.len()]));
+        }
+        let trace: Vec<bcd_worldgen::DitlRecord> = trace_srcs
+            .iter()
+            .map(|&src| bcd_worldgen::DitlRecord {
+                time: SimTime::ZERO,
+                src,
+                src_port: 1234,
+                qname: Name::root(),
+            })
+            .collect();
+        let mut unique = trace_srcs;
+        unique.sort_unstable();
+        unique.dedup();
+
+        let extracted = TargetSet::extract(&trace, &routes);
+        let streamed = TargetSet::from_candidates(&unique, &routes);
+        prop_assert_eq!(&extracted.v4, &streamed.v4);
+        prop_assert_eq!(&extracted.v6, &streamed.v6);
+        prop_assert_eq!(extracted.excluded_special, streamed.excluded_special);
+        prop_assert_eq!(extracted.excluded_unrouted, streamed.excluded_unrouted);
+        prop_assert_eq!(streamed.excluded_unsorted, 0);
+
+        let (mut special, mut unrouted, mut targets) = (0, 0, Vec::new());
+        for &addr in &unique {
+            if bcd_netsim::prefix::special::is_special_purpose(addr) {
+                special += 1;
+            } else if let Some(asn) = routes.origin(addr) {
+                targets.push((addr, asn));
+            } else {
+                unrouted += 1;
+            }
+        }
+        let got: Vec<(IpAddr, Asn)> = streamed.iter().map(|t| (t.addr, t.asn)).collect();
+        prop_assert_eq!(got, targets);
+        prop_assert_eq!(streamed.excluded_special, special);
+        prop_assert_eq!(streamed.excluded_unrouted, unrouted);
+    }
+
     /// Schedules preserve query counts, respect the rate cap, and stay
     /// sorted, for arbitrary small worlds — under the streaming per-lane
     /// constructor (the production path).

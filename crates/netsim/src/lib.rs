@@ -68,7 +68,7 @@ pub use faults::{
     FaultKind, FaultSchedule, LinkFate, LinkFlap,
 };
 pub use hash::{splitmix64, stream_seed};
-pub use lpm::LpmTrie;
+pub use lpm::{LpmSweep, LpmTrie};
 pub use merge::Merge;
 pub use node::{HostId, Node, NodeCtx};
 pub use packet::{Packet, TcpFlags, TcpOptions, TcpSegment, Transport, UdpDatagram};

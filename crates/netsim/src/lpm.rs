@@ -191,10 +191,8 @@ impl<T: Copy> LpmTrie<T> {
     /// Longest-prefix-match: the most specific stored prefix containing
     /// `ip`, with its value.
     pub fn lookup(&self, ip: IpAddr) -> Option<(Prefix, T)> {
-        let v6 = ip.is_ipv6();
-        let width: u8 = if v6 { 128 } else { 32 };
-        let (key, _) = Prefix::new(ip, width).key();
-        let mut cur = self.root_of(v6);
+        let (key, width) = addr_key(ip);
+        let mut cur = self.root_of(ip.is_ipv6());
         let mut best: Option<(u8, T)> = None;
         loop {
             let n = &self.nodes[cur];
@@ -218,6 +216,88 @@ impl<T: Copy> LpmTrie<T> {
     /// The value at the most specific prefix covering `ip`, if any.
     pub fn get(&self, ip: IpAddr) -> Option<T> {
         self.lookup(ip).map(|(_, v)| v)
+    }
+
+    /// A cursor answering [`get`](Self::get) for addresses fed in
+    /// ascending order, in O(n + m) over `n` addresses and `m` nodes.
+    pub fn sweep(&self) -> LpmSweep<'_, T> {
+        LpmSweep {
+            trie: self,
+            last: None,
+            path: Vec::new(),
+        }
+    }
+}
+
+/// An address's left-aligned key and its family width.
+#[inline]
+fn addr_key(ip: IpAddr) -> (u128, u8) {
+    match ip {
+        IpAddr::V4(a) => (u128::from(u32::from(a)) << 96, 32),
+        IpAddr::V6(a) => (u128::from(a), 128),
+    }
+}
+
+/// A forward-only longest-prefix-match over ascending addresses.
+///
+/// [`LpmTrie::get`] walks from the root on every call. Ascending addresses
+/// (a deduplicated source list, a sorted index) share most of each walk
+/// with the previous one, so the cursor keeps the chain of nested nodes
+/// covering the last address: the next address pops the nodes whose range
+/// it has passed and pushes the ones it enters. A node is pushed at most
+/// once, so `n` addresses over an `m`-node trie cost O(n + m) steps, in
+/// the arena's key order. Answers equal [`LpmTrie::get`]'s (the proptests
+/// hold the two equal).
+pub struct LpmSweep<'a, T> {
+    trie: &'a LpmTrie<T>,
+    /// The previous address, for the ascending-order check.
+    last: Option<IpAddr>,
+    /// `(node, last key of its range, value of the most specific stored
+    /// prefix at or above it)`, from the family root down.
+    path: Vec<(u32, u128, Option<T>)>,
+}
+
+impl<T: Copy> LpmSweep<'_, T> {
+    /// The value at the most specific prefix covering `ip`. Panics if `ip`
+    /// sorts before the previous address in `IpAddr`'s order (every IPv4
+    /// address before every IPv6 one).
+    pub fn get(&mut self, ip: IpAddr) -> Option<T> {
+        let prev = self.last.replace(ip);
+        assert!(
+            prev.is_none_or(|p| p <= ip),
+            "LpmSweep: {ip} is below the previous address"
+        );
+        let (key, width) = addr_key(ip);
+        if prev.map(|p| p.is_ipv6()) != Some(ip.is_ipv6()) {
+            // The first address, or the first IPv6 one: start a chain at
+            // the family root.
+            let root = self.trie.root_of(ip.is_ipv6());
+            self.path.clear();
+            self.path
+                .push((root as u32, u128::MAX, self.trie.nodes[root].value));
+        }
+        // The root's range ends at u128::MAX, so it is never popped.
+        while self.path.last().is_some_and(|&(_, end, _)| key > end) {
+            self.path.pop();
+        }
+        loop {
+            let &(cur, _, best) = self.path.last().expect("the family root stays on the path");
+            let n = &self.trie.nodes[cur as usize];
+            if n.len >= width {
+                break;
+            }
+            let c = n.children[bit_at(key, n.len)];
+            if c == NONE {
+                break;
+            }
+            let child = &self.trie.nodes[c as usize];
+            if common_prefix(key, child.key) < child.len {
+                break;
+            }
+            let end = child.key | u128::MAX.checked_shr(child.len as u32).unwrap_or(0);
+            self.path.push((c, end, child.value.or(best)));
+        }
+        self.path.last().and_then(|&(_, _, best)| best)
     }
 }
 
@@ -314,6 +394,25 @@ mod tests {
         assert_eq!(t.get(ip("1.2.3.4")), Some(7));
         let (pre, _) = t.lookup(ip("1.2.3.4")).unwrap();
         assert_eq!(pre, Prefix::v4_default());
+    }
+
+    #[test]
+    #[should_panic(expected = "below the previous address")]
+    fn sweep_rejects_descending_addresses() {
+        let mut t = LpmTrie::new();
+        t.insert(p("10.0.0.0/8"), 1u8);
+        let mut sweep = t.sweep();
+        sweep.get(ip("10.0.0.2"));
+        sweep.get(ip("10.0.0.1"));
+    }
+
+    #[test]
+    #[should_panic(expected = "below the previous address")]
+    fn sweep_rejects_v4_after_v6() {
+        let t: LpmTrie<u8> = LpmTrie::new();
+        let mut sweep = t.sweep();
+        sweep.get(ip("2001:db8::1"));
+        sweep.get(ip("10.0.0.1"));
     }
 
     #[test]

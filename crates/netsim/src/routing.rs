@@ -14,7 +14,7 @@
 //! prefix → origin-ASN routing over the compact [`LpmTrie`] with a reverse
 //! index.
 
-use crate::lpm::LpmTrie;
+use crate::lpm::{LpmSweep, LpmTrie};
 use crate::prefix::Prefix;
 use crate::topology::Asn;
 use std::collections::BTreeMap;
@@ -165,6 +165,14 @@ impl PrefixTable {
     /// The origin ASN for `ip`, if any route covers it.
     pub fn origin(&self, ip: IpAddr) -> Option<Asn> {
         self.lpm.get(ip)
+    }
+
+    /// A batch form of [`origin`](Self::origin) for addresses in ascending
+    /// order: the sweep's `get(ip)` equals `origin(ip)`, and a whole sorted
+    /// batch costs one in-order pass over the trie instead of one
+    /// root-to-leaf walk per address.
+    pub fn origin_sweep(&self) -> LpmSweep<'_, Asn> {
+        self.lpm.sweep()
     }
 
     /// All prefixes announced by `asn` (order of announcement).

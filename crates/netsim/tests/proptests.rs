@@ -27,6 +27,54 @@ fn any_prefix() -> impl Strategy<Value = Prefix> {
     ]
 }
 
+/// One announcement cut from a shared base address: the base's leading
+/// `depth` bits survive and `noise` fills the rest, so announcements nest
+/// and share subtrees. `len_pick` 0 and 1 force the /0 default route and
+/// the host route; otherwise `len` picks any length.
+fn nested_cut(
+    (b4, b6): (u32, u128),
+    (v6, len_pick, len, depth, noise): (bool, u8, u8, u8, u128),
+) -> Prefix {
+    if v6 {
+        let keep = u128::MAX.checked_shr(u32::from(depth % 129)).unwrap_or(0);
+        let bits = (b6 & !keep) | (noise & keep);
+        let len = match len_pick {
+            0 => 0,
+            1 => 128,
+            _ => len % 129,
+        };
+        Prefix::new(IpAddr::V6(Ipv6Addr::from(bits)), len)
+    } else {
+        let keep = u32::MAX.checked_shr(u32::from(depth % 33)).unwrap_or(0);
+        let bits = (b4 & !keep) | (noise as u32 & keep);
+        let len = match len_pick {
+            0 => 0,
+            1 => 32,
+            _ => len % 33,
+        };
+        Prefix::new(IpAddr::V4(Ipv4Addr::from(bits)), len)
+    }
+}
+
+/// The addresses just below and just above `p`, where its family has them.
+fn neighbours(p: &Prefix) -> impl Iterator<Item = IpAddr> {
+    let bits = |a: IpAddr| match a {
+        IpAddr::V4(a) => u128::from(u32::from(a)),
+        IpAddr::V6(a) => u128::from(a),
+    };
+    let v6 = p.is_v6();
+    let max = if v6 { u128::MAX } else { u128::from(u32::MAX) };
+    let below = bits(p.network()).checked_sub(1);
+    let above = bits(p.last()).checked_add(1).filter(|&v| v <= max);
+    below.into_iter().chain(above).map(move |v| {
+        if v6 {
+            IpAddr::V6(Ipv6Addr::from(v))
+        } else {
+            IpAddr::V4(Ipv4Addr::from(v as u32))
+        }
+    })
+}
+
 /// Naive reference for longest-prefix match.
 fn linear_lpm(entries: &[(Prefix, u32)], ip: IpAddr) -> Option<u32> {
     entries
@@ -174,6 +222,45 @@ proptest! {
         let mut indexed: Vec<(Prefix, Asn)> = table.iter().collect();
         indexed.sort();
         prop_assert_eq!(indexed, latest.into_iter().collect::<Vec<_>>());
+    }
+
+    /// The batch sweep answers a sorted, deduplicated address list exactly
+    /// like one `origin` lookup per address: nested v4 and v6 tables with
+    /// /0 default routes, /32 and /128 host routes, and prefixes
+    /// re-announced under a new origin, probed at every prefix's edges and
+    /// just outside them.
+    #[test]
+    fn origin_sweep_agrees_with_origin(
+        bases in (any::<u32>(), any::<u128>()),
+        cuts in proptest::collection::vec(
+            (any::<bool>(), 0u8..4, any::<u8>(), any::<u8>(), any::<u128>()),
+            0..60,
+        ),
+        asns in proptest::collection::vec(1u32..8, 60),
+        reannounce in proptest::collection::vec((any::<usize>(), 8u32..12), 0..10),
+        extra in proptest::collection::vec(any_ip(), 0..40),
+    ) {
+        let announced: Vec<Prefix> = cuts.into_iter().map(|c| nested_cut(bases, c)).collect();
+        let mut table = PrefixTable::new();
+        for (p, asn) in announced.iter().zip(&asns) {
+            table.announce(*p, Asn(*asn));
+        }
+        if !announced.is_empty() {
+            for (i, asn) in &reannounce {
+                table.announce(announced[i % announced.len()], Asn(*asn));
+            }
+        }
+        let mut probes: Vec<IpAddr> = announced
+            .iter()
+            .flat_map(|p| [p.network(), p.last()].into_iter().chain(neighbours(p)))
+            .chain(extra)
+            .collect();
+        probes.sort_unstable();
+        probes.dedup();
+        let mut sweep = table.origin_sweep();
+        for ip in probes {
+            prop_assert_eq!(sweep.get(ip), table.origin(ip), "probe {}", ip);
+        }
     }
 
     /// Subprefix enumeration covers the parent exactly.

@@ -203,11 +203,6 @@ impl ObsEnv {
         }
     }
 
-    /// True if any sink is active.
-    pub fn enabled(&self) -> bool {
-        self.jsonl_path.is_some() || self.progress_every.is_some() || self.trace.is_some()
-    }
-
     /// Write a finished run's files: the full JSONL export to `BCD_OBS`'s
     /// path and, when the run kept a flight recorder, the Chrome trace to
     /// `BCD_TRACE`'s `out=` path, creating parent directories. Call it once,
@@ -265,7 +260,6 @@ mod tests {
     #[test]
     fn disabled_env_is_noop() {
         let e = ObsEnv::disabled();
-        assert!(!e.enabled());
         assert!(e.jsonl_path.is_none());
         assert!(e.progress_every.is_none());
         assert!(e.trace.is_none());

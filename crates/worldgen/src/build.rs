@@ -509,15 +509,29 @@ pub fn build(cfg: WorldConfig) -> World {
         });
     }
 
-    let mut resolvers: Vec<ResolverMeta> = Vec::new();
-    // Collision membership during generation only; the World's queryable
-    // index is the sorted `by_addr` vector built after the loop. (The set
-    // is never iterated, so its hash order can't leak into the build.)
+    // Each family pass can add one promotion target past its plan count.
+    let max_targets: usize = plans
+        .iter()
+        .map(|p| p.n_targets_v4 + p.n_targets_v6 + 2)
+        .sum();
+    let mut resolvers: Vec<ResolverMeta> = Vec::with_capacity(max_targets);
+    // The queryable index, built as one sorted run per AS and family. The
+    // allocator carves disjoint, increasing ranges in AS order and every
+    // IPv4 address sorts before every IPv6 one, so the v4 runs followed by
+    // the v6 runs are the whole index in address order.
+    let mut by_addr: Vec<(IpAddr, u32)> = Vec::with_capacity(max_targets);
+    let mut by_addr_v6: Vec<(IpAddr, u32)> = Vec::new();
+    // Collision membership during generation only. An AS draws targets
+    // from its own carved prefixes, so a collision can only happen inside
+    // one AS: the set is cleared per AS and keeps its capacity. (It is
+    // never iterated, so its hash order can't leak into the build.)
     let mut target_addrs: HashSet<IpAddr> = HashSet::new();
     let mut measured_asns = Vec::with_capacity(plans.len());
 
     for plan in &plans {
         measured_asns.push(plan.asn);
+        target_addrs.clear();
+        target_addrs.reserve(plan.n_targets_v4 + plan.n_targets_v6 + 2);
         // An AS that deploys DSAV also filters bogon (private/loopback)
         // sources — SAV hygiene comes as a package; without this, a
         // "protected" network would still admit our private-source spoofs
@@ -582,6 +596,12 @@ pub fn build(cfg: WorldConfig) -> World {
             if prefixes.is_empty() {
                 continue;
             }
+            let index = if v6_family {
+                &mut by_addr_v6
+            } else {
+                &mut by_addr
+            };
+            let run_start = index.len();
             let mut any_responsive = false;
             // One extra iteration slot for the promotion pass below.
             for extra in 0..=count {
@@ -662,28 +682,27 @@ pub fn build(cfg: WorldConfig) -> World {
                     )
                 };
                 target_addrs.insert(addr);
+                index.push((addr, resolvers.len() as u32));
                 resolvers.push(meta);
             }
+            index[run_start..].sort_unstable_by_key(|&(a, _)| a);
         }
     }
+    drop(target_addrs);
+    by_addr.append(&mut by_addr_v6);
+    assert!(
+        by_addr.windows(2).all(|p| p[0].0 < p[1].0),
+        "per-AS address runs must concatenate into a strictly sorted index"
+    );
 
     // The IPv6 hitlist: /64s that contain targets ("observed activity").
     // Deduplicated and grouped by origin AS once the routes are final,
     // below.
-    let v6_active: Vec<Prefix> = resolvers
+    let v6_active: Vec<Prefix> = by_addr
         .iter()
-        .filter(|r| r.addr.is_ipv6())
-        .map(|r| Prefix::subprefix_of(r.addr, 64))
+        .filter(|(a, _)| a.is_ipv6())
+        .map(|&(a, _)| Prefix::subprefix_of(a, 64))
         .collect();
-
-    drop(target_addrs);
-    // The queryable index: sorted by address (unique by construction).
-    let mut by_addr: Vec<(IpAddr, u32)> = resolvers
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (r.addr, i as u32))
-        .collect();
-    by_addr.sort_unstable_by_key(|&(a, _)| a);
 
     // ---------------- DITL traces ----------------
     let (ditl2019, ditl2018, ditl_candidates) = if cfg.materialize_ditl {
@@ -695,7 +714,7 @@ pub fn build(cfg: WorldConfig) -> World {
         // the deduplicated source list survives. The 2018 comparison trace
         // is skipped entirely (nothing after this point reads `rng`, so
         // its draws are not owed).
-        let cands = ditl::candidate_sources_2019(&mut rng, &resolvers, &mut alloc);
+        let cands = ditl::candidate_sources_2019(&mut rng, &resolvers, &by_addr, &mut alloc);
         (Vec::new(), Vec::new(), cands)
     };
 
@@ -1084,25 +1103,53 @@ mod tests {
         assert!(w.by_addr.windows(2).all(|p| p[0].0 < p[1].0));
     }
 
+    /// `tiny` under the default address plan and under the packed plan
+    /// `internet_scale` uses, the only layout where ASes share /16s.
+    fn both_layouts(seed: u64) -> [WorldConfig; 2] {
+        [
+            WorldConfig::tiny(seed),
+            WorldConfig {
+                address_density: 0.35,
+                ..WorldConfig::tiny(seed)
+            },
+        ]
+    }
+
     #[test]
     fn by_addr_index_is_insertion_order_independent() {
         // The queryable index is a sorted vector: whatever order targets
         // were generated in (or any future parallel build produces), the
         // index — and therefore every lookup and any iteration over it —
         // is identical. This pins the property that replaced the old
-        // HashMap index.
-        let w = build(WorldConfig::tiny(31));
-        let mut forward: Vec<(IpAddr, u32)> = w
-            .resolvers
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.addr, i as u32))
-            .collect();
-        let mut reversed: Vec<(IpAddr, u32)> = forward.iter().rev().copied().collect();
-        forward.sort_unstable_by_key(|&(a, _)| a);
-        reversed.sort_unstable_by_key(|&(a, _)| a);
-        assert_eq!(forward, reversed);
-        assert_eq!(forward, w.by_addr);
+        // HashMap index, and that the per-AS runs `build` concatenates
+        // equal a full sort under both address plans.
+        for cfg in both_layouts(31) {
+            let packed = cfg.address_density < 1.0;
+            let w = build(cfg);
+            if packed {
+                // The layout the runs must survive: two ASes in one /16.
+                let mut owners: Vec<(Prefix, Asn)> = w
+                    .resolvers
+                    .iter()
+                    .filter(|r| r.addr.is_ipv4())
+                    .map(|r| (Prefix::subprefix_of(r.addr, 16), r.asn))
+                    .collect();
+                owners.sort_unstable();
+                owners.dedup();
+                assert!(owners.windows(2).any(|p| p[0].0 == p[1].0));
+            }
+            let mut forward: Vec<(IpAddr, u32)> = w
+                .resolvers
+                .iter()
+                .enumerate()
+                .map(|(i, r)| (r.addr, i as u32))
+                .collect();
+            let mut reversed: Vec<(IpAddr, u32)> = forward.iter().rev().copied().collect();
+            forward.sort_unstable_by_key(|&(a, _)| a);
+            reversed.sort_unstable_by_key(|&(a, _)| a);
+            assert_eq!(forward, reversed);
+            assert_eq!(forward, w.by_addr);
+        }
     }
 
     #[test]
@@ -1111,17 +1158,19 @@ mod tests {
         // quantity identical: same topology digest (same RNG path), and a
         // candidate list equal to the deduplicated sources of the
         // materialized trace.
-        let mat = build(WorldConfig::tiny(19));
-        let streamed = build(WorldConfig {
-            materialize_ditl: false,
-            ..WorldConfig::tiny(19)
-        });
-        assert_eq!(mat.topo.digest(), streamed.topo.digest());
-        assert!(streamed.ditl2019.is_empty() && streamed.ditl2018.is_empty());
-        let mut expect: Vec<IpAddr> = mat.ditl2019.iter().map(|r| r.src).collect();
-        expect.sort_unstable();
-        expect.dedup();
-        assert_eq!(streamed.ditl_candidates, expect);
+        for cfg in both_layouts(19) {
+            let mat = build(cfg.clone());
+            let streamed = build(WorldConfig {
+                materialize_ditl: false,
+                ..cfg
+            });
+            assert_eq!(mat.topo.digest(), streamed.topo.digest());
+            assert!(streamed.ditl2019.is_empty() && streamed.ditl2018.is_empty());
+            let mut expect: Vec<IpAddr> = mat.ditl2019.iter().map(|r| r.src).collect();
+            expect.sort_unstable();
+            expect.dedup();
+            assert_eq!(streamed.ditl_candidates, expect);
+        }
     }
 
     #[test]

@@ -220,20 +220,43 @@ pub fn generate_2019(
 /// sources) memory. Returns the sorted unique source list; special-purpose
 /// and unrouted exclusion stay with the analysis side, which also counts
 /// them.
+///
+/// The target phase's unique sources are exactly the resolver addresses,
+/// which `by_addr` (the world's address index) already holds sorted. So the
+/// target records are drawn, to keep the RNG stream in step, but not kept:
+/// only the noise sources are sorted and deduplicated, then merged with
+/// `by_addr`'s address column.
 pub fn candidate_sources_2019(
     rng: &mut ChaCha8Rng,
     resolvers: &[ResolverMeta],
+    by_addr: &[(IpAddr, u32)],
     alloc: &mut AddressAllocator,
 ) -> Vec<IpAddr> {
     let ghost_block = alloc.next_v4_16();
     let mut stream = stream_2019(rng, resolvers, ghost_block);
-    let mut srcs: Vec<IpAddr> = Vec::with_capacity(resolvers.len() + resolvers.len() / 3);
+    let mut noise: Vec<IpAddr> =
+        Vec::with_capacity(resolvers.len() / 4 + resolvers.len() / 300 + 3);
     while let Some(rec) = stream.next_record(false) {
-        srcs.push(rec.src);
+        // The stream leaves its target phase only on the call after the
+        // last target record, so the phase names the record's class.
+        if !matches!(stream.phase, Phase2019::Targets { .. }) {
+            noise.push(rec.src);
+        }
     }
-    srcs.sort_unstable();
-    srcs.dedup();
-    srcs
+    noise.sort_unstable();
+    noise.dedup();
+
+    let mut out = Vec::with_capacity(by_addr.len() + noise.len());
+    let mut noise = noise.into_iter().peekable();
+    for &(target, _) in by_addr {
+        while let Some(n) = noise.next_if(|&n| n < target) {
+            out.push(n);
+        }
+        noise.next_if_eq(&target);
+        out.push(target);
+    }
+    out.extend(noise);
+    out
 }
 
 /// The 2018 trace, keyed to §5.2.2's three comparison outcomes.

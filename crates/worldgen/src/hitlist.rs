@@ -21,16 +21,18 @@ pub struct Hitlist {
 }
 
 impl Hitlist {
-    /// Sort and dedup `prefixes`, keep the IPv6 /64s, and group them by
+    /// Keep the IPv6 /64s of `prefixes`, dedup them, and group them by
     /// `routes.origin(network)`. Entries no route covers are dropped.
     pub fn new(mut prefixes: Vec<Prefix>, routes: &PrefixTable) -> Hitlist {
-        // Dedup first so each distinct /64 costs one origin lookup.
+        // Same-length IPv6 prefixes sort by network address, so one sweep
+        // answers every distinct /64's origin.
+        prefixes.retain(|p| p.is_v6() && p.len() == 64);
         prefixes.sort_unstable();
         prefixes.dedup();
+        let mut origins = routes.origin_sweep();
         let mut keyed: Vec<(Asn, Prefix)> = prefixes
             .into_iter()
-            .filter(|p| p.is_v6() && p.len() == 64)
-            .filter_map(|p| routes.origin(p.network()).map(|asn| (asn, p)))
+            .filter_map(|p| origins.get(p.network()).map(|asn| (asn, p)))
             .collect();
         keyed.sort_unstable();
         let mut groups: Vec<(Asn, usize)> = Vec::new();

@@ -1,7 +1,9 @@
 //! Internet-scale smoke test: build the full `internet_scale` world — the
 //! paper's ~62k measured ASes and ~12M DITL candidate sources — and check
-//! that (a) the Table 1/2 marginals survive the scale-up and (b) the build
-//! fits CI-class memory.
+//! that (a) the Table 1/2 marginals survive the scale-up, (b) the build
+//! fits CI-class memory, and (c) the world's bytes equal the pinned
+//! seed-2019 digests, so a set-up optimisation that moves one byte fails
+//! here even though no default-tier world is this large.
 //!
 //! The test doubles as the scale profiler: each stage records a
 //! [`bcd_obs::RunProfile`] phase with the process peak-RSS watermark
@@ -13,9 +15,80 @@
 //! -p bcd-worldgen -- --ignored internet_scale`), not part of tier-1. The
 //! CI `scale-smoke` job runs it.
 
+use bcd_netsim::hash::{fnv1a, fnv1a_addr, FNV_OFFSET};
 use bcd_obs::{peak_rss_kib, ObsEnv, RunObservation, RunProfile};
-use bcd_worldgen::{build, WorldConfig};
+use bcd_worldgen::{build, World, WorldConfig};
+use std::fmt::Write;
 use std::time::Instant;
+
+/// FNV-1a fingerprints of everything `build` produces for the full-scale
+/// world. Each field folds one structure in its stored order.
+#[derive(Debug, PartialEq, Eq)]
+struct WorldDigests {
+    topo: u64,
+    blueprints: u64,
+    /// `(addr, asn, live, responsive, open)` per resolver, in `resolvers`
+    /// order.
+    resolvers: u64,
+    by_addr: u64,
+    ditl_candidates: u64,
+    /// Each measured AS's hitlist /64s, in ASN order.
+    hitlist: u64,
+}
+
+impl WorldDigests {
+    fn of(w: &World) -> WorldDigests {
+        let mut blueprints = FNV_OFFSET;
+        let mut line = String::new();
+        for b in &w.blueprints {
+            line.clear();
+            write!(line, "{b:?}").unwrap();
+            fnv1a(&mut blueprints, line.as_bytes());
+        }
+        let mut resolvers = FNV_OFFSET;
+        for r in &w.resolvers {
+            fnv1a_addr(&mut resolvers, r.addr);
+            fnv1a(&mut resolvers, &r.asn.0.to_le_bytes());
+            fnv1a(
+                &mut resolvers,
+                &[r.live as u8, r.responsive as u8, r.open as u8],
+            );
+        }
+        let mut by_addr = FNV_OFFSET;
+        for &(a, i) in &w.by_addr {
+            fnv1a_addr(&mut by_addr, a);
+            fnv1a(&mut by_addr, &i.to_le_bytes());
+        }
+        let mut ditl_candidates = FNV_OFFSET;
+        for &a in &w.ditl_candidates {
+            fnv1a_addr(&mut ditl_candidates, a);
+        }
+        let mut hitlist = FNV_OFFSET;
+        for &asn in &w.measured_asns {
+            for p in w.v6_hitlist.of_asn(asn) {
+                fnv1a(&mut hitlist, p.to_string().as_bytes());
+            }
+        }
+        WorldDigests {
+            topo: w.topo.digest(),
+            blueprints,
+            resolvers,
+            by_addr,
+            ditl_candidates,
+            hitlist,
+        }
+    }
+}
+
+/// The seed-2019 `internet_scale` world's digests.
+const PINNED_2019: WorldDigests = WorldDigests {
+    topo: 0x6672_8c87_94b7_3489,
+    blueprints: 0x87bc_395f_589b_9991,
+    resolvers: 0x6721_39a9_0b32_3de2,
+    by_addr: 0xba92_7a77_7aa6_451c,
+    ditl_candidates: 0x246d_6585_20c3_30b7,
+    hitlist: 0x22c6_1e5d_4ff8_9cdf,
+};
 
 #[test]
 #[ignore = "release-mode batch job: builds the full 62k-AS world"]
@@ -84,6 +157,14 @@ fn internet_scale_world_builds_within_budget() {
         assert_eq!(w.meta_of(r.addr).map(|m| m.addr), Some(r.addr));
     }
     profile.record("host-index-probe", t_index.elapsed());
+
+    // ---- same-bytes gate: a set-up optimisation must not move one byte of
+    // the seed-2019 world. A deliberate behaviour change re-pins these.
+    let t_pin = Instant::now();
+    let digests = WorldDigests::of(&w);
+    eprintln!("internet_scale digests: {digests:#x?}");
+    assert_eq!(digests, PINNED_2019, "the seed-2019 world's bytes moved");
+    profile.record("digest-pin", t_pin.elapsed());
 
     // ---- scale profile: per-phase wall + RSS-watermark breakdown. The
     // watermark is monotone, so the first phase whose rss_peak jumps is
