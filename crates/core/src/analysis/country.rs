@@ -2,7 +2,8 @@
 //!
 //! Each AS is associated with every country its prefixes geolocate to (so
 //! an AS can be counted in several countries, as in the paper); targets are
-//! attributed to the country of their covering prefix.
+//! attributed to the country of their covering prefix, the route the
+//! routing table's longest-prefix match finds.
 
 use crate::analysis::reachability::Reachability;
 use crate::analysis::AnalysisInput;
@@ -56,7 +57,7 @@ impl CountryReport {
 
         // Target attribution (one country per address).
         for t in input.targets.iter() {
-            let Some(country) = input.geo.country_of(t.addr) else {
+            let Some(country) = input.geo.country_of(input.routes, t.addr) else {
                 continue;
             };
             let row = rows.entry(country).or_default();

@@ -8,8 +8,9 @@
 //!   long tail, each carrying the *calibration profile* the world generator
 //!   samples from: relative AS share, probability that an AS lacks DSAV,
 //!   and resolver density,
-//! * a [`GeoDb`]: prefix → country database with longest-prefix-match
-//!   lookup, and the paper's AS → countries aggregation.
+//! * a [`GeoDb`]: address → country through the announced route covering
+//!   the address (each AS's home country, plus the prefixes geolocated
+//!   elsewhere), and the paper's AS → countries aggregation.
 //!
 //! The substitution argument (DESIGN.md): geography only enters the analysis
 //! as a *grouping key* for Tables 1–2; any consistent assignment whose

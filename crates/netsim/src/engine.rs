@@ -160,6 +160,7 @@ impl Topology {
     pub fn builder<P>(cfg: NetworkConfig) -> TopologyBuilder<P> {
         TopologyBuilder {
             payloads: Vec::new(),
+            announced: Vec::new(),
             topo: Topology {
                 cfg,
                 ases: BTreeMap::new(),
@@ -277,6 +278,8 @@ impl Topology {
 pub struct TopologyBuilder<P> {
     topo: Topology,
     payloads: Vec<P>,
+    /// Announcements in call order; `finish` fills the route table.
+    announced: Vec<(Prefix, Asn)>,
 }
 
 impl<P> TopologyBuilder<P> {
@@ -291,13 +294,15 @@ impl<P> TopologyBuilder<P> {
         self.add_as(AsInfo::new(asn, policy));
     }
 
-    /// Announce a prefix as originated by an AS. The AS must exist.
+    /// Announce a prefix as originated by an AS. The AS must exist. The
+    /// announcement is only recorded here; `finish` fills the route table,
+    /// so a builder is cheap to fill and its slow half can run elsewhere.
     pub fn announce(&mut self, prefix: Prefix, asn: Asn) {
         assert!(
             self.topo.ases.contains_key(&asn.0),
             "announce for unknown {asn}"
         );
-        self.topo.routes.announce(prefix, asn);
+        self.announced.push((prefix, asn));
     }
 
     /// Register a host with its payload; returns its id. All its addresses
@@ -317,15 +322,14 @@ impl<P> TopologyBuilder<P> {
             .dns_interceptor = Some(host);
     }
 
-    /// Read access to the topology built so far.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// Freeze the topology: sort the address index (rejecting duplicate
-    /// bindings) and hand out the immutable result with the host payloads,
-    /// indexed by host id.
+    /// Freeze the topology: fill the route table from the announcements in
+    /// call order (a re-announced prefix takes its last origin), sort the
+    /// address index (rejecting duplicate bindings) and hand out the
+    /// immutable result with the host payloads, indexed by host id.
     pub fn finish(mut self) -> (Topology, Vec<P>) {
+        for (prefix, asn) in self.announced {
+            self.topo.routes.announce(prefix, asn);
+        }
         self.topo.seal();
         (self.topo, self.payloads)
     }

@@ -7,12 +7,13 @@
 //! 2. *which prefixes does this AS announce?* (used to derive the
 //!    other-prefix spoofed-source pool).
 //!
-//! [`PrefixMap`] is the generic engine — a binary trie over address bits,
-//! most-significant-bit first, shared between the two families by
-//! left-aligning IPv4 keys in a `u128`. `bcd-geo` uses it for prefix →
-//! country, and the LPM tests use it as the reference. [`PrefixTable`] is
-//! prefix → origin-ASN routing over the compact [`LpmTrie`] with a reverse
-//! index.
+//! [`PrefixTable`] is prefix → origin-ASN routing over the compact
+//! [`LpmTrie`] with a reverse index; `bcd-geo` geolocates an address
+//! through the route it finds. [`PrefixMap`] is the plain reference
+//! engine — a boxed binary trie over address bits, most-significant-bit
+//! first, shared between the two families by left-aligning IPv4 keys in a
+//! `u128`. Only the LPM tests and benches use it, as the oracle the trie
+//! is checked against.
 
 use crate::lpm::{LpmSweep, LpmTrie};
 use crate::prefix::Prefix;

@@ -563,6 +563,8 @@ pub fn build(cfg: WorldConfig) -> World {
                 plan.country
             };
             geo.insert(*p, plan.asn, c);
+            #[cfg(test)]
+            tests::record_geo(*p, c);
         }
 
         // A middlebox AS intercepts all inbound UDP/53.
@@ -705,18 +707,28 @@ pub fn build(cfg: WorldConfig) -> World {
         .collect();
 
     // ---------------- DITL traces ----------------
-    let (ditl2019, ditl2018, ditl_candidates) = if cfg.materialize_ditl {
-        let t2019 = ditl::generate_2019(&mut rng, &resolvers, &mut alloc);
-        let t2018 = ditl::generate_2018(&mut rng, &resolvers);
-        (t2019, t2018, Vec::new())
-    } else {
-        // Streaming pipeline: same RNG draws as `generate_2019`, but only
-        // the deduplicated source list survives. The 2018 comparison trace
-        // is skipped entirely (nothing after this point reads `rng`, so
-        // its draws are not owed).
-        let cands = ditl::candidate_sources_2019(&mut rng, &resolvers, &by_addr, &mut alloc);
-        (Vec::new(), Vec::new(), cands)
-    };
+    // Freezing the topology (the route fill and the address-index sort)
+    // reads nothing the DITL pass touches, so it runs beside that pass on
+    // one scoped thread.
+    let ((topo, blueprints), (ditl2019, ditl2018, ditl_candidates)) = std::thread::scope(|s| {
+        let finish = s.spawn(move || net.finish());
+        let ditl = if cfg.materialize_ditl {
+            let t2019 = ditl::generate_2019(&mut rng, &resolvers, &mut alloc);
+            let t2018 = ditl::generate_2018(&mut rng, &resolvers);
+            (t2019, t2018, Vec::new())
+        } else {
+            // Streaming pipeline: `rng` ends where `generate_2019` leaves
+            // it, but only the deduplicated source list survives. The 2018
+            // comparison trace is skipped entirely (nothing after this
+            // point reads `rng`, so its draws are not owed).
+            let cands = ditl::candidate_sources_2019(&mut rng, &resolvers, &by_addr, &mut alloc);
+            (Vec::new(), Vec::new(), cands)
+        };
+        let built = finish
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (built, ditl)
+    });
 
     let auth = AuthEstate {
         apex,
@@ -729,7 +741,6 @@ pub fn build(cfg: WorldConfig) -> World {
         lab_v6,
     };
 
-    let (topo, blueprints) = net.finish();
     let topo = Arc::new(topo);
     let v6_hitlist = Hitlist::new(v6_active, topo.routes());
 
@@ -1043,6 +1054,18 @@ fn pick_upstream(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcd_netsim::PrefixMap;
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// Every `(prefix, country)` pair `build` registers with the
+        /// world's `GeoDb` on this thread, in order.
+        static GEO_PAIRS: RefCell<Vec<(Prefix, Country)>> = const { RefCell::new(Vec::new()) };
+    }
+
+    pub(super) fn record_geo(prefix: Prefix, country: Country) {
+        GEO_PAIRS.with(|v| v.borrow_mut().push((prefix, country)));
+    }
 
     #[test]
     fn tiny_world_builds_and_is_deterministic() {
@@ -1150,6 +1173,65 @@ mod tests {
             assert_eq!(forward, reversed);
             assert_eq!(forward, w.by_addr);
         }
+    }
+
+    #[test]
+    fn geolocation_through_routes_matches_a_prefix_trie() {
+        // `GeoDb` answers from the route the routing table finds. It must
+        // agree with a longest-prefix-match trie filled from the pairs
+        // `build` registered, on every address a survey can ask about.
+        let mut multi_country_ases = 0;
+        for base in [WorldConfig::tiny(17), WorldConfig::paper_shape(17)] {
+            for address_density in [1.0, 0.35] {
+                let cfg = WorldConfig {
+                    address_density,
+                    ..base.clone()
+                };
+                GEO_PAIRS.with(|v| v.borrow_mut().clear());
+                let w = build(cfg);
+                let mut trie: PrefixMap<Country> = PrefixMap::new();
+                for (prefix, country) in GEO_PAIRS.with(|v| v.take()) {
+                    trie.insert(prefix, country);
+                }
+                assert!(trie.len() > w.measured_asns.len());
+
+                let mut addrs: Vec<IpAddr> = w
+                    .resolvers
+                    .iter()
+                    .flat_map(|r| [Some(r.addr), r.other_addr])
+                    .flatten()
+                    .collect();
+                // The DITL sources add the special-purpose and ghost-/16
+                // noise to the targets.
+                addrs.extend(w.ditl2019.iter().map(|r| r.src));
+                addrs.extend([w.auth.root_v4, w.auth.root_v6, w.auth.lab_v4, w.auth.lab_v6]);
+                addrs.extend([w.scanner.v4, w.scanner.v6]);
+                addrs.extend(w.public_dns_v4.iter().chain(&w.public_dns_v6));
+                addrs.extend(
+                    ["1.2.3.4", "223.255.0.1", "2001:db8::1", "fe80::1"]
+                        .map(|a| a.parse::<IpAddr>().unwrap()),
+                );
+                let routes = w.topo.routes();
+                let mut unrouted = 0;
+                let mut unlocated = 0;
+                for &a in &addrs {
+                    let expect = trie.get(a);
+                    assert_eq!(w.geo.country_of(routes, a), expect, "{a}");
+                    unrouted += routes.origin(a).is_none() as usize;
+                    unlocated += expect.is_none() as usize;
+                }
+                // Each class showed up: located targets, routed but
+                // unlocated infrastructure, and unrouted noise.
+                assert!(unlocated > unrouted && unrouted > 0);
+                for &asn in &w.measured_asns {
+                    let n = w.geo.countries_of(asn).count();
+                    assert!(n > 0, "{asn}");
+                    multi_country_ases += (n > 1) as usize;
+                }
+            }
+        }
+        // Some prefixes were geolocated away from their AS's home.
+        assert!(multi_country_ases > 0);
     }
 
     #[test]

@@ -37,6 +37,13 @@ pub struct DitlRecord {
 /// 48 hours, the DITL collection window.
 const WINDOW_SECS: u64 = 48 * 3_600;
 
+/// Keystream words one target record draws: time, port, tld and qname
+/// number are one integer `gen_range` each, and every integer `gen_range`
+/// of the vendored `rand` reads one `u128` (four words), whatever its
+/// range. A fixed count is what lets [`candidate_sources_2019`] seek past
+/// the records instead of drawing them.
+const TARGET_RECORD_WORDS: u128 = 16;
+
 /// Convert a root server's query log into DITL records — the path a real
 /// collection takes (used by tests that resolve queries through the actual
 /// simulated root servers rather than synthesizing the trace).
@@ -111,12 +118,18 @@ impl<'a> Ditl2019Stream<'a> {
                         self.phase = Phase2019::Targets { i, left: n };
                         continue;
                     }
+                    let start = self.rng.get_word_pos();
                     let rec = DitlRecord {
                         time: SimTime::from_secs(self.rng.gen_range(0..WINDOW_SECS)),
                         src: self.resolvers[i].addr,
                         src_port: self.rng.gen_range(1_024..=65_535),
                         qname: random_qname(self.rng, "q", i, materialize_qnames),
                     };
+                    debug_assert_eq!(
+                        self.rng.get_word_pos() - start,
+                        TARGET_RECORD_WORDS,
+                        "a target record's draws must stay seekable"
+                    );
                     self.phase = if left == 1 {
                         Phase2019::Targets { i: i + 1, left: 0 }
                     } else {
@@ -214,17 +227,17 @@ pub fn generate_2019(
 }
 
 /// The streaming extraction front half: generate the 2019 trace, keep only
-/// each record's source address, de-duplicate. Consumes the identical RNG
-/// sequence as [`generate_2019`] but never materializes records or qnames,
-/// so an Internet-scale world can feed target extraction in O(unique
-/// sources) memory. Returns the sorted unique source list; special-purpose
-/// and unrouted exclusion stay with the analysis side, which also counts
-/// them.
+/// each record's source address, de-duplicate. Leaves `rng` and `alloc`
+/// exactly where [`generate_2019`] leaves them, but never materializes
+/// records or qnames, so an Internet-scale world can feed target
+/// extraction in O(unique sources) memory. Returns the sorted unique
+/// source list; special-purpose and unrouted exclusion stay with the
+/// analysis side, which also counts them.
 ///
 /// The target phase's unique sources are exactly the resolver addresses,
-/// which `by_addr` (the world's address index) already holds sorted. So the
-/// target records are drawn, to keep the RNG stream in step, but not kept:
-/// only the noise sources are sorted and deduplicated, then merged with
+/// which `by_addr` (the world's address index) already holds sorted. So
+/// the target phase is sought, not replayed (`seek_past_targets`): only
+/// the noise records are drawn, sorted and deduplicated, then merged with
 /// `by_addr`'s address column.
 pub fn candidate_sources_2019(
     rng: &mut ChaCha8Rng,
@@ -233,15 +246,17 @@ pub fn candidate_sources_2019(
     alloc: &mut AddressAllocator,
 ) -> Vec<IpAddr> {
     let ghost_block = alloc.next_v4_16();
-    let mut stream = stream_2019(rng, resolvers, ghost_block);
+    seek_past_targets(rng, resolvers.len());
+    let mut stream = Ditl2019Stream {
+        rng,
+        resolvers,
+        ghost_block,
+        phase: Phase2019::Special { i: 0 },
+    };
     let mut noise: Vec<IpAddr> =
         Vec::with_capacity(resolvers.len() / 4 + resolvers.len() / 300 + 3);
     while let Some(rec) = stream.next_record(false) {
-        // The stream leaves its target phase only on the call after the
-        // last target record, so the phase names the record's class.
-        if !matches!(stream.phase, Phase2019::Targets { .. }) {
-            noise.push(rec.src);
-        }
+        noise.push(rec.src);
     }
     noise.sort_unstable();
     noise.dedup();
@@ -257,6 +272,17 @@ pub fn candidate_sources_2019(
     }
     out.extend(noise);
     out
+}
+
+/// Move `rng` past the 2019 trace's target phase for `n_resolvers`
+/// resolvers: each resolver's record count is drawn, as the replay draws
+/// it, and its records' [`TARGET_RECORD_WORDS`] each are skipped.
+fn seek_past_targets(rng: &mut ChaCha8Rng, n_resolvers: usize) {
+    for _ in 0..n_resolvers {
+        let n: u32 = rng.gen_range(1..=3);
+        let pos = rng.get_word_pos() + n as u128 * TARGET_RECORD_WORDS;
+        rng.set_word_pos(pos);
+    }
 }
 
 /// The 2018 trace, keyed to §5.2.2's three comparison outcomes.
@@ -321,6 +347,7 @@ mod tests {
     use crate::build;
     use crate::config::WorldConfig;
     use bcd_netsim::prefix::special;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn trace_2019_contains_targets_and_noise() {
@@ -353,6 +380,28 @@ mod tests {
             assert!(w2[0].time <= w2[1].time);
         }
         assert!(trace.last().unwrap().time.as_secs() < WINDOW_SECS);
+    }
+
+    #[test]
+    fn target_seek_lands_where_the_replay_ends() {
+        let w = build::build(WorldConfig::tiny(23));
+        let ghost_block: Prefix = "203.0.0.0/16".parse().unwrap();
+        for n in [0usize, 1, 2, 3_001] {
+            let resolvers = vec![w.resolvers[0].clone(); n];
+            let mut replay = ChaCha8Rng::seed_from_u64(n as u64);
+            let mut stream = stream_2019(&mut replay, &resolvers, ghost_block);
+            while matches!(stream.phase, Phase2019::Targets { i, .. } if i < n) {
+                stream.next_record(false).expect("a target record");
+            }
+            let mut sought = ChaCha8Rng::seed_from_u64(n as u64);
+            seek_past_targets(&mut sought, n);
+            assert_eq!(
+                sought.get_word_pos(),
+                replay.get_word_pos(),
+                "{n} resolvers"
+            );
+            assert_eq!(sought.next_u64(), replay.next_u64());
+        }
     }
 
     #[test]

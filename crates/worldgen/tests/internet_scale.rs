@@ -34,6 +34,9 @@ struct WorldDigests {
     ditl_candidates: u64,
     /// Each measured AS's hitlist /64s, in ASN order.
     hitlist: u64,
+    /// `country_of` for every `resolvers` address in order, then
+    /// `countries_of` for every measured ASN.
+    geo: u64,
 }
 
 impl WorldDigests {
@@ -69,6 +72,19 @@ impl WorldDigests {
                 fnv1a(&mut hitlist, p.to_string().as_bytes());
             }
         }
+        let mut geo = FNV_OFFSET;
+        for r in &w.resolvers {
+            let c = w.geo.country_of(w.topo.routes(), r.addr);
+            fnv1a(&mut geo, c.map_or("-", |c| c.0).as_bytes());
+            fnv1a(&mut geo, b";");
+        }
+        for &asn in &w.measured_asns {
+            for c in w.geo.countries_of(asn) {
+                fnv1a(&mut geo, c.0.as_bytes());
+                fnv1a(&mut geo, b",");
+            }
+            fnv1a(&mut geo, b";");
+        }
         WorldDigests {
             topo: w.topo.digest(),
             blueprints,
@@ -76,6 +92,7 @@ impl WorldDigests {
             by_addr,
             ditl_candidates,
             hitlist,
+            geo,
         }
     }
 }
@@ -88,6 +105,7 @@ const PINNED_2019: WorldDigests = WorldDigests {
     by_addr: 0xba92_7a77_7aa6_451c,
     ditl_candidates: 0x246d_6585_20c3_30b7,
     hitlist: 0x22c6_1e5d_4ff8_9cdf,
+    geo: 0x03bf_bbf3_aeaa_0772,
 };
 
 #[test]

@@ -126,7 +126,7 @@ fn geo_covers_every_measured_prefix() {
     }
     for r in w.resolvers.iter().take(500) {
         assert!(
-            w.geo.country_of(r.addr).is_some(),
+            w.geo.country_of(w.topo.routes(), r.addr).is_some(),
             "{} has no country",
             r.addr
         );
