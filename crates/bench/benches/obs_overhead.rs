@@ -18,7 +18,7 @@
 
 use bcd_core::{Experiment, ExperimentConfig};
 use bcd_obs::ObsEnv;
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::hint::black_box;
 use std::time::Instant;
 
 fn run_survey(cfg: &ExperimentConfig, env: &ObsEnv) -> usize {
@@ -66,28 +66,8 @@ impl Measured {
 /// so slow drift in machine load lands on both sides of the comparison
 /// instead of biasing whichever configuration ran last.
 fn measure(name: &str, cfg: &ExperimentConfig, n: usize) -> Measured {
-    // BCD_BENCH_MODE picks the B side of the pairing: `full` (default,
-    // JSONL + heartbeat), `jsonl` / `progress` (one sink at a time, to
-    // attribute a measured delta), or `aa` (disabled vs disabled — any
-    // "overhead" an A/A run reports is the host's noise floor; compare the
-    // full-mode number against it before believing a regression).
-    let mode = std::env::var("BCD_BENCH_MODE").unwrap_or_default();
     let mut run_disabled = || run_survey(cfg, &ObsEnv::disabled());
-    let mut run_enabled = || {
-        let env = match mode.as_str() {
-            "aa" => ObsEnv::disabled(),
-            "jsonl" => ObsEnv {
-                progress_every: None,
-                ..enabled_env()
-            },
-            "progress" => ObsEnv {
-                jsonl_path: None,
-                ..enabled_env()
-            },
-            _ => enabled_env(),
-        };
-        run_survey(cfg, &env)
-    };
+    let mut run_enabled = || run_survey(cfg, &enabled_env());
     black_box(run_disabled());
     black_box(run_enabled());
     let mut disabled = Vec::with_capacity(n);
@@ -150,25 +130,11 @@ fn write_json(path: &str, rows: &[Measured]) {
     }
 }
 
-fn bench(c: &mut Criterion) {
-    // Criterion group for the per-config medians (skipped in the
-    // attribution modes, which only want the paired numbers)...
-    let tiny = ExperimentConfig::tiny(1);
-    if std::env::var("BCD_BENCH_MODE").is_err() {
-        let mut g = c.benchmark_group("obs_overhead");
-        g.sample_size(10);
-        g.bench_function("tiny_survey_obs_disabled", |b| {
-            b.iter(|| run_survey(&tiny, &ObsEnv::disabled()))
-        });
-        g.bench_function("tiny_survey_obs_enabled", |b| {
-            b.iter(|| run_survey(&tiny, &enabled_env()))
-        });
-        g.finish();
-    }
-
-    // ...and a paired measurement for the headline overhead number (the
+fn main() {
+    // A paired measurement for the headline overhead number (the
     // acceptance bar is <3% with sinks disabled; paired runs on one core
     // keep the comparison honest).
+    let tiny = ExperimentConfig::tiny(1);
     // The config constructors honour BCD_SHARDS, so one bench process
     // measures one shard count; suffix the row names so trajectory entries
     // taken at different shard counts stay distinguishable.
@@ -206,6 +172,3 @@ fn bench(c: &mut Criterion) {
         write_json(&path, &rows);
     }
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

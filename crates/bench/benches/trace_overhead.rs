@@ -18,14 +18,13 @@
 //! ```sh
 //! cargo bench -p bcd-bench --bench trace_overhead
 //! # BCD_BENCH_PAPER=1 adds the (slow) paper-shape S=1 measurement;
-//! # BCD_BENCH_N=<rounds> sets the round count (default 121);
-//! # BCD_TRACE_GATE=off reports without failing (noisy-host escape hatch).
+//! # BCD_BENCH_N=<rounds> sets the round count (default 121).
 //! ```
 
 use bcd_core::{Experiment, ExperimentConfig};
 use bcd_netsim::TraceSample;
 use bcd_obs::{ObsEnv, TraceConfig};
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::hint::black_box;
 use std::time::Instant;
 
 fn run_survey(cfg: &ExperimentConfig, env: &ObsEnv) -> usize {
@@ -101,20 +100,8 @@ fn measure(name: &str, cfg: &ExperimentConfig, n: usize) -> Measured {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let tiny = ExperimentConfig::tiny(1);
-    {
-        let mut g = c.benchmark_group("trace_overhead");
-        g.sample_size(10);
-        g.bench_function("tiny_survey_trace_disabled", |b| {
-            b.iter(|| run_survey(&tiny, &ObsEnv::disabled()))
-        });
-        g.bench_function("tiny_survey_trace_unsampled", |b| {
-            b.iter(|| run_survey(&tiny, &unsampled_env()))
-        });
-        g.finish();
-    }
-
     let n = std::env::var("BCD_BENCH_N")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -135,19 +122,11 @@ fn bench(c: &mut Criterion) {
         );
         worst = worst.max(m.unsampled_pct);
     }
-    // The gate: disarmed-path overhead must stay under 3%. The escape hatch
-    // reports without failing, for a host too loaded to measure on.
-    let gate_off = matches!(
-        std::env::var("BCD_TRACE_GATE").ok().as_deref(),
-        Some("off") | Some("0")
-    );
-    if worst > 3.0 && !gate_off {
+    // The gate: disarmed-path overhead must stay under 3%.
+    if worst > 3.0 {
         panic!(
             "trace_overhead gate: unsampled tracing costs {worst:+.2}% > 3% \
-             over the disabled baseline (BCD_TRACE_GATE=off to report only)"
+             over the disabled baseline"
         );
     }
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -38,7 +38,7 @@
 
 use crate::counters::{DropReason, NetCounters};
 use crate::faults::{FaultSchedule, LinkFate};
-use crate::hash::{fnv1a, stream_seed, FNV_OFFSET};
+use crate::hash::{fnv1a, stream_seed, Fnv1aWriter, FNV_OFFSET};
 use crate::node::{Effect, HostId, Node, NodeCtx};
 use crate::packet::{Packet, Transport};
 use crate::prefix::{special, Prefix};
@@ -224,27 +224,26 @@ impl Topology {
     /// digest equally across runs and platforms. Tests use this to assert a
     /// shared topology survives concurrent runtimes bit-identical.
     pub fn digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        fnv1a(&mut h, format!("{:?}", self.cfg).as_bytes());
+        use std::fmt::Write;
+        let mut h = Fnv1aWriter::default();
+        // Formatting into the hash sink cannot fail.
+        let _ = write!(h, "{:?}", self.cfg);
         for info in self.ases.values() {
-            fnv1a(&mut h, format!("{info:?}").as_bytes());
+            let _ = write!(h, "{info:?}");
         }
         for (prefix, asn) in self.routes.iter() {
-            fnv1a(&mut h, format!("{prefix}>{asn}").as_bytes());
+            let _ = write!(h, "{prefix}>{asn}");
         }
         for id in 0..self.host_count() {
-            fnv1a(
-                &mut h,
-                format!(
-                    "{:?}|{:?}|{:?}",
-                    self.host_addrs(id),
-                    self.host_asn[id],
-                    self.host_stack[id]
-                )
-                .as_bytes(),
+            let _ = write!(
+                h,
+                "{:?}|{:?}|{:?}",
+                self.host_addrs(id),
+                self.host_asn[id],
+                self.host_stack[id]
             );
         }
-        h
+        h.0
     }
 
     /// Append a host's static attributes into the SoA columns; returns its

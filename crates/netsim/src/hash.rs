@@ -1,15 +1,17 @@
 //! The workspace's one deterministic hash toolkit.
 //!
-//! * **FNV-1a** ([`fnv1a`], [`fnv1a_addr`]) — tiny state, stable across
-//!   platforms, and good enough spread for bucketing, packet keys and
-//!   trace ids. Nothing here needs cryptographic strength: the adversary
-//!   is nondeterminism, not an attacker. Every caller folds canonical
-//!   bytes (addresses, qnames, little-endian integers), never iteration
-//!   order or RNG stream position, which is what keeps derived draws
-//!   byte-identical across shard layouts and schedulers.
+//! * **FNV-1a** ([`fnv1a`], [`fnv1a_addr`], [`Fnv1aWriter`]) — tiny
+//!   state, stable across platforms, and good enough spread for
+//!   bucketing, packet keys and trace ids. Nothing here needs
+//!   cryptographic strength: the adversary is nondeterminism, not an
+//!   attacker. Every caller folds canonical bytes (addresses, qnames,
+//!   little-endian integers), never iteration order or RNG stream
+//!   position, which is what keeps derived draws byte-identical across
+//!   shard layouts and schedulers.
 //! * **splitmix64** ([`splitmix64`], [`stream_seed`]) — derives
 //!   independent RNG seed streams from one master seed.
 
+use std::fmt;
 use std::net::IpAddr;
 
 /// FNV-1a 64-bit offset basis: the initial state of every fold.
@@ -30,6 +32,26 @@ pub fn fnv1a_addr(h: &mut u64, addr: IpAddr) {
     match addr {
         IpAddr::V4(a) => fnv1a(h, &a.octets()),
         IpAddr::V6(a) => fnv1a(h, &a.octets()),
+    }
+}
+
+/// A `fmt::Write` sink that folds everything written into it with FNV-1a.
+/// FNV-1a folds one byte at a time, so `write!`ing a value here hashes
+/// exactly like `fnv1a` over the same text collected into a `String`,
+/// without building the string.
+#[derive(Debug)]
+pub struct Fnv1aWriter(pub u64);
+
+impl Default for Fnv1aWriter {
+    fn default() -> Self {
+        Fnv1aWriter(FNV_OFFSET)
+    }
+}
+
+impl fmt::Write for Fnv1aWriter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        fnv1a(&mut self.0, s.as_bytes());
+        Ok(())
     }
 }
 
@@ -68,5 +90,16 @@ mod tests {
         fnv1a(&mut b, b"bar");
         assert_eq!(a, b);
         assert_eq!(a, 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn writer_hashes_like_the_formatted_string() {
+        use std::fmt::Write;
+        let v = (IpAddr::from([192, 0, 2, 1]), Some("x"), [1u16, 2]);
+        let mut w = Fnv1aWriter::default();
+        write!(w, "{v:?}|{}", v.0).unwrap();
+        let mut h = FNV_OFFSET;
+        fnv1a(&mut h, format!("{v:?}|{}", v.0).as_bytes());
+        assert_eq!(w.0, h);
     }
 }

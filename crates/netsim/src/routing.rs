@@ -12,8 +12,8 @@
 //! through the route it finds. [`PrefixMap`] is the plain reference
 //! engine — a boxed binary trie over address bits, most-significant-bit
 //! first, shared between the two families by left-aligning IPv4 keys in a
-//! `u128`. Only the LPM tests and benches use it, as the oracle the trie
-//! is checked against.
+//! `u128`. Only tests use it, as the oracle the trie and geolocation
+//! are checked against.
 
 use crate::lpm::{LpmSweep, LpmTrie};
 use crate::prefix::Prefix;

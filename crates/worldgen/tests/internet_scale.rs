@@ -15,7 +15,7 @@
 //! -p bcd-worldgen -- --ignored internet_scale`), not part of tier-1. The
 //! CI `scale-smoke` job runs it.
 
-use bcd_netsim::hash::{fnv1a, fnv1a_addr, FNV_OFFSET};
+use bcd_netsim::hash::{fnv1a, fnv1a_addr, Fnv1aWriter, FNV_OFFSET};
 use bcd_obs::{peak_rss_kib, ObsEnv, RunObservation, RunProfile};
 use bcd_worldgen::{build, World, WorldConfig};
 use std::fmt::Write;
@@ -41,12 +41,9 @@ struct WorldDigests {
 
 impl WorldDigests {
     fn of(w: &World) -> WorldDigests {
-        let mut blueprints = FNV_OFFSET;
-        let mut line = String::new();
+        let mut blueprints = Fnv1aWriter::default();
         for b in &w.blueprints {
-            line.clear();
-            write!(line, "{b:?}").unwrap();
-            fnv1a(&mut blueprints, line.as_bytes());
+            write!(blueprints, "{b:?}").unwrap();
         }
         let mut resolvers = FNV_OFFSET;
         for r in &w.resolvers {
@@ -66,10 +63,10 @@ impl WorldDigests {
         for &a in &w.ditl_candidates {
             fnv1a_addr(&mut ditl_candidates, a);
         }
-        let mut hitlist = FNV_OFFSET;
+        let mut hitlist = Fnv1aWriter::default();
         for &asn in &w.measured_asns {
             for p in w.v6_hitlist.of_asn(asn) {
-                fnv1a(&mut hitlist, p.to_string().as_bytes());
+                write!(hitlist, "{p}").unwrap();
             }
         }
         let mut geo = FNV_OFFSET;
@@ -87,11 +84,11 @@ impl WorldDigests {
         }
         WorldDigests {
             topo: w.topo.digest(),
-            blueprints,
+            blueprints: blueprints.0,
             resolvers,
             by_addr,
             ditl_candidates,
-            hitlist,
+            hitlist: hitlist.0,
             geo,
         }
     }
