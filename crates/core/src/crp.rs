@@ -132,6 +132,7 @@ pub fn run_dual(cfg: ExperimentConfig, env: &ObsEnv) -> DualRun {
         keyword: crp_keyword(&a.cfg.keyword),
         noise_stream: CRP_NOISE_STREAM,
         tails_log: false,
+        spawn: &bcd_worldgen::World::spawn,
     };
     let PassOutcome {
         merged,

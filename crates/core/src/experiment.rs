@@ -284,6 +284,7 @@ impl Experiment {
             keyword: cfg.keyword.clone(),
             noise_stream: NOISE_SALT_STREAM,
             tails_log: true,
+            spawn: &World::spawn,
         };
         let PassOutcome {
             merged,
@@ -382,7 +383,7 @@ fn announce(env: &ObsEnv, name: &str) {
 }
 
 /// One measurement pass over a built world: which probes it schedules and
-/// how its scanner behaves. Plain data — method A and the inbound CRP scan
+/// how its scanner behaves. Method A and the inbound CRP scan
 /// ([`crate::crp`]) are two values of it, and [`run_pass`] runs either.
 pub(crate) struct Pass<'a> {
     /// Prefix of every phase the pass records (`""` for method A). Only
@@ -397,7 +398,12 @@ pub(crate) struct Pass<'a> {
     /// Whether the scanner tails the authoritative log — follow-up
     /// batteries and §3.6.3 human noise — or only walks its schedule.
     pub tails_log: bool,
+    /// Each shard's runtime: [`World::spawn`]; tests pass oracles.
+    pub spawn: &'a Spawn,
 }
+
+/// Turns the shared world into one shard's runtime.
+pub(crate) type Spawn = dyn Fn(&Arc<World>) -> WorldRuntime + Sync;
 
 /// What [`run_pass`] returns: the merged shard outcomes plus the schedule
 /// geometry the run's stable aggregate reports.
@@ -576,14 +582,7 @@ fn run_shard(
     env: &ObsEnv,
 ) -> ShardOutcome {
     let wall_start = Instant::now();
-    // Lazy spawn: this shard's schedule names every destination AS it will
-    // ever touch, so hosts elsewhere (other shards' measured ASes) are
-    // spawned as sinks. Infra/public-DNS/scanner ASes are always live —
-    // `spawn_for` adds them unconditionally.
-    let owned: std::collections::HashSet<bcd_netsim::Asn> = (0..schedule.len())
-        .map(|i| targets.get(schedule.target_index(i) as usize).asn)
-        .collect();
-    let mut wrt: WorldRuntime = world.spawn_for(Some(&owned));
+    let mut wrt = (pass.spawn)(world);
     let codec = QnameCodec::new(&world.auth.apex, &pass.keyword);
     let human_noise =
         (pass.tails_log && cfg.world.human_lookup_fraction > 0.0).then(|| HumanNoise {
@@ -659,5 +658,171 @@ fn run_shard(
         wall: run_wall,
         spawn_wall,
         extract_wall: extract_start.elapsed(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bcd_dns::log::shared_log;
+    use bcd_netsim::{HostId, Node, NodeCtx, Packet, Runtime};
+    use std::collections::BTreeSet;
+
+    /// The oracle runtime: every topology host's node built up front from
+    /// its blueprint (and passed through `wrap`), before the run starts.
+    fn eager_runtime(
+        world: &Arc<World>,
+        wrap: impl Fn(HostId, Box<dyn Node>) -> Box<dyn Node>,
+    ) -> WorldRuntime {
+        let log = shared_log();
+        let nodes = world
+            .blueprints
+            .iter()
+            .enumerate()
+            .map(|(id, b)| wrap(id, b.instantiate(&log)))
+            .collect();
+        let mut net = Runtime::new(Arc::clone(&world.topo), nodes);
+        net.set_faults(world.faults.clone());
+        WorldRuntime { net, log }
+    }
+
+    fn eager_spawn(world: &Arc<World>) -> WorldRuntime {
+        eager_runtime(world, |_, node| node)
+    }
+
+    /// Build `cfg`'s world and return a function that runs method A's
+    /// pass over it on the runtimes a given spawner makes.
+    fn method_a(cfg: ExperimentConfig) -> (Arc<World>, impl Fn(&Spawn) -> ShardOutcome) {
+        let world = Arc::new(bcd_worldgen::build::build(cfg.world.clone()));
+        let targets = Arc::new(if world.cfg.materialize_ditl {
+            TargetSet::extract(&world.ditl2019, world.topo.routes())
+        } else {
+            TargetSet::from_candidates(&world.ditl_candidates, world.topo.routes())
+        });
+        let w = Arc::clone(&world);
+        let run = move |spawn: &Spawn| {
+            let pass = Pass {
+                phase_prefix: "",
+                category_filter: None,
+                keyword: cfg.keyword.clone(),
+                noise_stream: NOISE_SALT_STREAM,
+                tails_log: true,
+                spawn,
+            };
+            let env = ObsEnv::disabled();
+            run_pass(&pass, &w, &targets, &cfg, &env, &mut RunProfile::new()).merged
+        };
+        (world, run)
+    }
+
+    /// Building nodes on first contact is invisible: the spawned runtime
+    /// and the up-front oracle log, count and resolve the same.
+    fn assert_spawn_matches_eager(cfg: ExperimentConfig) {
+        let (_, run) = method_a(cfg);
+        let lazy = run(&World::spawn);
+        let eager = run(&eager_spawn);
+        assert!(!lazy.entries.is_empty());
+        assert_eq!(
+            format!("{:?}", lazy.entries),
+            format!("{:?}", eager.entries)
+        );
+        assert_eq!(
+            format!("{:?}", lazy.counters),
+            format!("{:?}", eager.counters)
+        );
+        assert_eq!(lazy.events, eager.events);
+        // The oracle's cache sizes also count the preloaded estate cuts of
+        // public resolvers no event reached, which a spawned runtime never
+        // builds; every other resolver total must match.
+        assert!(lazy.dns.cache_cuts <= eager.dns.cache_cuts);
+        let cuts_aside = |d: &observe::DnsTotals| {
+            format!(
+                "{:?}",
+                observe::DnsTotals {
+                    cache_cuts: 0,
+                    ..d.clone()
+                }
+            )
+        };
+        assert_eq!(cuts_aside(&lazy.dns), cuts_aside(&eager.dns));
+    }
+
+    #[test]
+    fn spawned_runtime_matches_eager_oracle_tiny() {
+        assert_spawn_matches_eager(ExperimentConfig::tiny(7));
+    }
+
+    #[test]
+    #[ignore = "paper-shape worlds take minutes in debug builds"]
+    fn spawned_runtime_matches_eager_oracle_paper_shape() {
+        assert_spawn_matches_eager(ExperimentConfig::paper_shape(2019));
+    }
+
+    type HostSet = Arc<Mutex<BTreeSet<HostId>>>;
+
+    /// Wraps a host's node and records the host when a packet or timer
+    /// reaches it.
+    struct Touched {
+        id: HostId,
+        inner: Box<dyn Node>,
+        reached: HostSet,
+    }
+
+    impl Node for Touched {
+        fn on_packet(&mut self, ctx: &mut NodeCtx<'_>, pkt: Packet) {
+            self.reached.lock().unwrap().insert(self.id);
+            self.inner.on_packet(ctx, pkt);
+        }
+        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
+            self.reached.lock().unwrap().insert(self.id);
+            self.inner.on_timer(ctx, token);
+        }
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+            self.inner.on_start(ctx);
+        }
+    }
+
+    /// A spawned shard builds a node for exactly the hosts an event
+    /// reaches in the up-front oracle, and that is not every host.
+    #[test]
+    fn shard_builds_exactly_the_hosts_an_event_reaches() {
+        let mut cfg = ExperimentConfig::tiny(7);
+        cfg.shards = 1;
+        let (world, run) = method_a(cfg);
+        let reached = HostSet::default();
+        let r = Arc::clone(&reached);
+        let eager_touched = move |world: &Arc<World>| {
+            eager_runtime(world, |id, inner| {
+                Box::new(Touched {
+                    id,
+                    inner,
+                    reached: Arc::clone(&r),
+                })
+            })
+        };
+        let built = HostSet::default();
+        let b = Arc::clone(&built);
+        let lazy_recording = move |world: &Arc<World>| {
+            let log = shared_log();
+            let (w, l, b) = (Arc::clone(world), log.clone(), Arc::clone(&b));
+            let mut net = Runtime::lazy(Arc::clone(&world.topo), move |id| {
+                b.lock().unwrap().insert(id);
+                w.blueprints[id].instantiate(&l)
+            });
+            net.set_faults(world.faults.clone());
+            WorldRuntime { net, log }
+        };
+        let eager = run(&eager_touched);
+        let lazy = run(&lazy_recording);
+        assert_eq!(lazy.events, eager.events);
+        let (built, reached) = (built.lock().unwrap(), reached.lock().unwrap());
+        assert!(!built.is_empty());
+        assert_eq!(*built, *reached);
+        assert!(
+            built.len() < world.topo.host_count(),
+            "built {} of {} hosts",
+            built.len(),
+            world.topo.host_count()
+        );
     }
 }

@@ -20,12 +20,12 @@
 //! * [`Det::Layout`] metrics include anything a shard runtime repeats
 //!   locally. Every runtime runs the scanner's log-poll timer over the
 //!   whole horizon (so `engine.events` grows with the shard count) and its
-//!   own copy of each public DNS resolver with the preloaded estate zone
-//!   cuts (so `dns.cache_entries.cuts` does too). Raw packet counters and
-//!   resolution-path resolver counters come out equal at 1 and 4 shards on
-//!   a fault-free tiny survey, but the public resolvers they count keep
-//!   per-runtime caches, so they stay out of the deterministic surface
-//!   conservatively.
+//!   own copy of each public DNS resolver it reaches, with the preloaded
+//!   estate zone cuts (so `dns.cache_entries.cuts` does too). Raw packet
+//!   counters and resolution-path resolver counters come out equal at 1
+//!   and 4 shards on a fault-free tiny survey, but the public resolvers
+//!   they count keep per-runtime caches, so they stay out of the
+//!   deterministic surface conservatively.
 
 use crate::scanner::ScannerStats;
 use crate::targets::TargetSet;
@@ -57,8 +57,6 @@ pub struct DnsTotals {
     pub cache_answers: u64,
     pub cache_nxdomains: u64,
     pub cache_cuts: u64,
-    /// Resolver nodes visited.
-    pub resolvers: u64,
 }
 
 impl Merge for DnsTotals {
@@ -74,19 +72,15 @@ impl Merge for DnsTotals {
         self.cache_answers += other.cache_answers;
         self.cache_nxdomains += other.cache_nxdomains;
         self.cache_cuts += other.cache_cuts;
-        self.resolvers += other.resolvers;
     }
 }
 
-/// Walk every host of a finished runtime and sum the recursive resolvers'
-/// counters (runs once per shard, after `run_until` returns).
+/// Sum the counters of a finished runtime's recursive resolvers (runs once
+/// per shard, after `run_until` returns). Only built nodes are visited: a
+/// resolver no event reached has no node, and nothing to count.
 pub fn dns_totals(rt: &Runtime) -> DnsTotals {
     let mut t = DnsTotals::default();
-    for id in 0..rt.host_count() {
-        let Some(r) = rt.node::<RecursiveResolver>(id) else {
-            continue;
-        };
-        t.resolvers += 1;
+    for (_, r) in rt.nodes::<RecursiveResolver>() {
         let s = &r.stats;
         t.client_queries += s.client_queries;
         t.refused += s.refused;
@@ -262,7 +256,6 @@ mod tests {
             cache_hits: 2,
             cache_misses: 3,
             upstream_queries: 9,
-            resolvers: 4,
             ..DnsTotals::default()
         };
         a.merge(DnsTotals {
@@ -270,7 +263,6 @@ mod tests {
             cache_hits: 1,
             cache_misses: 6,
             cache_cuts: 10,
-            resolvers: 4,
             ..DnsTotals::default()
         });
         assert_eq!(a.client_queries, 12);
@@ -278,7 +270,6 @@ mod tests {
         assert_eq!(a.cache_misses, 9);
         assert_eq!(a.upstream_queries, 9);
         assert_eq!(a.cache_cuts, 10);
-        assert_eq!(a.resolvers, 8);
     }
 
     #[test]

@@ -5,7 +5,11 @@
 //! so that every shard runtime can construct identical fresh nodes. That is
 //! a [`NodeBlueprint`]: a plain-data description (`Send + Sync`, shareable
 //! behind the same `Arc` as the topology) that [`NodeBlueprint::instantiate`]
-//! turns into a live [`Node`].
+//! turns into a live [`Node`]. A spawned runtime calls it on a host's first
+//! event (`bcd_netsim::Runtime::lazy`), so only the hosts a run reaches are
+//! ever instantiated. Every blueprint kind is passive until its first
+//! packet, which is what makes building it late indistinguishable from
+//! building it up front.
 //!
 //! The one thing a blueprint cannot carry is the query log — [`SharedLog`]
 //! is an `Rc<RefCell<..>>` confined to its runtime's thread. An `Auth`
@@ -30,8 +34,6 @@ pub enum NodeBlueprint {
     Resolver(ResolverConfig),
     /// A transparent DNS middlebox proxying to `upstream`.
     Interceptor { upstream: IpAddr },
-    /// A host that silently accepts everything (placeholder / counter).
-    Sink,
 }
 
 impl NodeBlueprint {
@@ -45,7 +47,6 @@ impl NodeBlueprint {
             })),
             NodeBlueprint::Resolver(cfg) => Box::new(RecursiveResolver::new(cfg.clone())),
             NodeBlueprint::Interceptor { upstream } => Box::new(Interceptor::new(*upstream)),
-            NodeBlueprint::Sink => Box::new(bcd_netsim::node::SinkNode::default()),
         }
     }
 }

@@ -18,8 +18,9 @@
 //! [`TopologyBuilder`] is the one way to register ASes, prefixes,
 //! interceptors and hosts. Each host carries one payload, in host-id
 //! order: the world generator passes a node blueprint and spawns runtimes
-//! from the frozen topology later; a single-engine world passes the
-//! [`Node`] itself ([`Runtime::builder`]) and gets its runtime from
+//! from the frozen topology later ([`Runtime::lazy`] builds each host's
+//! node on its first event); a single-engine world passes the [`Node`]
+//! itself ([`Runtime::builder`]) and gets its runtime from
 //! [`TopologyBuilder::into_runtime`].
 //!
 //! The packet pipeline models exactly the two border crossings the paper
@@ -94,7 +95,11 @@ pub struct HostConfig {
     pub stack: StackPolicy,
 }
 
+/// Sentinel of [`Runtime`]'s per-host slot table: no node built yet.
+const UNBUILT: u32 = u32::MAX;
+
 struct HostState {
+    id: HostId,
     node: Box<dyn Node>,
     /// Per-host RNG stream, seeded `stream_seed(cfg.seed, host_id)`.
     ///
@@ -347,15 +352,21 @@ impl TopologyBuilder<Box<dyn Node>> {
 /// [`Topology`].
 ///
 /// Instantiating a runtime is cheap relative to building a topology — it
-/// allocates per-host node state and RNG streams but reuses the AS table,
-/// routes, and host table through the `Arc`. Hosts may also be attached
-/// dynamically to one runtime only (e.g. each survey shard's scanner) via
-/// [`Runtime::add_host`]; they overlay the shared table without touching it.
+/// allocates one 4-byte slot per host and reuses the AS table, routes, and
+/// host table through the `Arc`. A host's node and RNG stream are built up
+/// front ([`Runtime::new`]) or on its first event ([`Runtime::lazy`]).
+/// Hosts may also be attached dynamically to one runtime only (e.g. each
+/// survey shard's scanner) via [`Runtime::add_host`]; they overlay the
+/// shared table without touching it.
 pub struct Runtime {
     topo: Arc<Topology>,
-    /// Node + RNG state for every host: topology hosts first (same ids),
-    /// then dynamically added hosts.
+    /// Index into `hosts` per host id — topology hosts first (same ids),
+    /// then dynamically added hosts — or `UNBUILT`.
+    slots: Vec<u32>,
+    /// Node + RNG state of every built host, in build order.
     hosts: Vec<HostState>,
+    /// Builds a topology host's node on its first event.
+    factory: Box<dyn FnMut(HostId) -> Box<dyn Node>>,
     /// Static attributes of dynamically added hosts (ids continue after the
     /// topology's).
     extra_cfgs: Vec<HostConfig>,
@@ -380,9 +391,6 @@ pub struct Runtime {
     /// Reusable effects buffer for node callbacks (drained after each
     /// invoke, so a warm engine stages effects with zero allocation).
     effects_buf: Vec<Effect>,
-    /// Reusable placeholder node swapped into the host table while a
-    /// callback runs (see `invoke`).
-    parked_node: Option<Box<dyn Node>>,
     /// Packet accounting for the whole run.
     pub counters: NetCounters,
     /// Optional causal span flight recorder (armed per run via
@@ -412,19 +420,30 @@ impl Runtime {
             topo.host_count(),
             "one node per topology host, in host-id order"
         );
-        let seed = topo.cfg.seed;
+        let mut rt = Runtime::lazy(topo, |id| unreachable!("host {id} was built up front"));
+        rt.hosts.reserve_exact(nodes.len());
+        for (id, node) in nodes.into_iter().enumerate() {
+            rt.install(id, node);
+        }
+        rt
+    }
+
+    /// Instantiate a runtime that builds a topology host's node, from
+    /// `factory(id)`, on the host's first delivery, seeds its RNG stream as
+    /// [`Runtime::new`] does and runs its `on_start` right away. That
+    /// matches an up-front build exactly for nodes that are passive until
+    /// their first packet, so a built node whose `on_start` stages an
+    /// effect or draws from its RNG panics.
+    pub fn lazy(
+        topo: Arc<Topology>,
+        factory: impl FnMut(HostId) -> Box<dyn Node> + 'static,
+    ) -> Runtime {
         let sched = topo.cfg.sched;
-        let hosts = nodes
-            .into_iter()
-            .enumerate()
-            .map(|(id, node)| HostState {
-                node,
-                rng: ChaCha8Rng::seed_from_u64(stream_seed(seed, id as u64)),
-            })
-            .collect();
         Runtime {
+            slots: vec![UNBUILT; topo.host_count()],
+            hosts: Vec::new(),
+            factory: Box::new(factory),
             topo,
-            hosts,
             extra_cfgs: Vec::new(),
             extra_ip_index: HashMap::new(),
             queue: EventQueue::new(sched),
@@ -434,7 +453,6 @@ impl Runtime {
             fault_flows: HashMap::new(),
             down_memo: None,
             effects_buf: Vec::new(),
-            parked_node: None,
             counters: NetCounters::default(),
             flight: None,
             started: false,
@@ -453,7 +471,7 @@ impl Runtime {
     /// not modified, so other runtimes over the same `Arc` are unaffected.
     /// Panics on a duplicate address binding.
     pub fn add_host(&mut self, cfg: HostConfig, node: Box<dyn Node>) -> HostId {
-        let id = self.hosts.len();
+        let id = self.slots.len();
         for a in &cfg.addrs {
             assert!(
                 self.topo.host_for_ip(*a).is_none(),
@@ -462,10 +480,20 @@ impl Runtime {
             let prev = self.extra_ip_index.insert(*a, id);
             assert!(prev.is_none(), "address {a} bound twice");
         }
-        let rng = ChaCha8Rng::seed_from_u64(stream_seed(self.topo.cfg.seed, id as u64));
         self.extra_cfgs.push(cfg);
-        self.hosts.push(HostState { node, rng });
+        self.slots.push(UNBUILT);
+        self.install(id, node);
         id
+    }
+
+    /// Put a host's node and freshly seeded RNG stream into its slot.
+    fn install(&mut self, id: HostId, node: Box<dyn Node>) {
+        self.slots[id] = self.hosts.len() as u32;
+        self.hosts.push(HostState {
+            id,
+            node,
+            rng: ChaCha8Rng::seed_from_u64(stream_seed(self.topo.cfg.seed, id as u64)),
+        });
     }
 
     /// Arm a compiled chaos schedule: from now on every inter-AS traversal
@@ -577,18 +605,31 @@ impl Runtime {
     }
 
     /// Mutable access to a host's node, downcast to a concrete type.
-    /// Returns `None` if the type does not match.
+    /// Returns `None` if the type does not match or the host has no node
+    /// yet (see [`Runtime::lazy`]).
     pub fn node_mut<T: Node>(&mut self, id: HostId) -> Option<&mut T> {
-        let node: &mut dyn Node = self.hosts[id].node.as_mut();
+        let slot = *self.slots.get(id).filter(|&&s| s != UNBUILT)?;
+        let node: &mut dyn Node = self.hosts[slot as usize].node.as_mut();
         let any: &mut dyn std::any::Any = node;
         any.downcast_mut::<T>()
     }
 
     /// Shared access to a host's node, downcast to a concrete type.
     pub fn node<T: Node>(&self, id: HostId) -> Option<&T> {
-        let node: &dyn Node = self.hosts[id].node.as_ref();
+        let slot = *self.slots.get(id).filter(|&&s| s != UNBUILT)?;
+        let node: &dyn Node = self.hosts[slot as usize].node.as_ref();
         let any: &dyn std::any::Any = node;
         any.downcast_ref::<T>()
+    }
+
+    /// Every built host whose node is a `T`, in build order. Hosts no event
+    /// has reached in a [`Runtime::lazy`] runtime have no node to visit.
+    pub fn nodes<T: Node>(&self) -> impl Iterator<Item = (HostId, &T)> + '_ {
+        self.hosts.iter().filter_map(|h| {
+            let node: &dyn Node = h.node.as_ref();
+            let any: &dyn std::any::Any = node;
+            any.downcast_ref::<T>().map(|n| (h.id, n))
+        })
     }
 
     /// The AS info for an ASN, if registered.
@@ -601,9 +642,9 @@ impl Runtime {
         self.topo.asns()
     }
 
-    /// Number of hosts (topology + dynamically added).
+    /// Number of hosts (topology + dynamically added), built or not.
     pub fn host_count(&self) -> usize {
-        self.hosts.len()
+        self.slots.len()
     }
 
     fn host_for_ip(&self, addr: IpAddr) -> Option<HostId> {
@@ -971,23 +1012,21 @@ impl Runtime {
     }
 
     /// Invoke a node callback with a fresh context, then apply staged
-    /// effects.
+    /// effects. A host's first event builds its node first and runs its
+    /// `on_start`, which must leave no trace (see [`Runtime::lazy`]).
     fn invoke(&mut self, host: HostId, f: impl FnOnce(&mut dyn Node, &mut NodeCtx<'_>)) {
-        // Both scratch objects are reused across invocations: the effects
-        // buffer keeps its capacity, and the parked placeholder node is the
-        // same box every time. The previous version allocated both per
-        // event, which dominated the dispatch profile.
+        let fresh = self.slots[host] == UNBUILT;
+        if fresh {
+            let node = (self.factory)(host);
+            self.install(host, node);
+        }
+        // The effects buffer is reused across invocations: it keeps its
+        // capacity, so a warm engine stages effects with no allocation.
         let mut effects = std::mem::take(&mut self.effects_buf);
         {
-            // Split borrows: node is taken out of the host table for the
-            // duration of the callback so the ctx can borrow the host rng.
-            let placeholder = self
-                .parked_node
-                .take()
-                .unwrap_or_else(|| Box::<crate::node::SinkNode>::default());
-            let mut node = std::mem::replace(&mut self.hosts[host].node, placeholder);
             // Borrowed field by field (not through `host_addrs`, which
-            // would borrow all of `self`) so the rng can be lent mutably.
+            // would borrow all of `self`) so node and rng can be lent mutably.
+            let HostState { node, rng, .. } = &mut self.hosts[self.slots[host] as usize];
             let n = self.topo.host_count();
             let addrs = if host < n {
                 self.topo.host_addrs(host)
@@ -997,12 +1036,19 @@ impl Runtime {
             let mut ctx = NodeCtx {
                 now: self.now,
                 addrs,
-                rng: &mut self.hosts[host].rng,
+                rng,
                 effects: &mut effects,
                 spans: self.flight.as_mut(),
             };
+            if fresh {
+                node.on_start(&mut ctx);
+                assert!(
+                    ctx.effects.is_empty() && ctx.rng.get_word_pos() == 0,
+                    "host {host}: a node built on its first event must stage nothing \
+                     and draw nothing in on_start"
+                );
+            }
             f(node.as_mut(), &mut ctx);
-            self.parked_node = Some(std::mem::replace(&mut self.hosts[host].node, node));
         }
         for e in effects.drain(..) {
             match e {
@@ -1020,13 +1066,14 @@ impl Runtime {
         self.effects_buf = effects;
     }
 
+    /// Run `on_start` on every host built before the first event.
     fn start_if_needed(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
-        for h in 0..self.hosts.len() {
-            self.invoke(h, |node, ctx| node.on_start(ctx));
+        for slot in 0..self.hosts.len() {
+            self.invoke(self.hosts[slot].id, |node, ctx| node.on_start(ctx));
         }
     }
 
@@ -1561,6 +1608,68 @@ mod tests {
         }
         assert_eq!(topo.digest(), digest_before, "topology mutated by a run");
         assert_eq!(topo.host_count(), 2, "dynamic host leaked into topology");
+    }
+
+    /// A lazy runtime builds exactly the hosts an event reaches, and a
+    /// built host behaves as it does in a runtime built up front.
+    #[test]
+    fn lazy_runtime_builds_hosts_on_first_event() {
+        let (mut b, sink) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
+        let idle = b.add_host(
+            host("198.51.100.11", 200, StackPolicy::permissive()),
+            Box::new(SinkNode::default()),
+        );
+        let topo = Arc::new(b.finish().0);
+        let run = |mut rt: Runtime| {
+            rt.add_host(
+                host("192.0.2.1", 100, StackPolicy::permissive()),
+                Box::new(Shooter {
+                    src: ip("192.0.2.1"),
+                    dst: ip("198.51.100.10"),
+                }),
+            );
+            rt.run();
+            rt
+        };
+        let eager = run(Runtime::new(
+            Arc::clone(&topo),
+            vec![Box::new(SinkNode::default()), Box::new(SinkNode::default())],
+        ));
+        let lazy = run(Runtime::lazy(Arc::clone(&topo), |_| {
+            Box::new(SinkNode::default())
+        }));
+        assert_eq!(
+            format!("{:?}", lazy.counters),
+            format!("{:?}", eager.counters)
+        );
+        assert_eq!(lazy.events_processed(), eager.events_processed());
+        assert_eq!(lazy.node::<SinkNode>(sink).unwrap().received, 1);
+        assert!(lazy.node::<SinkNode>(idle).is_none(), "idle host was built");
+        assert_eq!(eager.nodes::<SinkNode>().count(), 2);
+        let built: Vec<HostId> = lazy.nodes::<SinkNode>().map(|(id, _)| id).collect();
+        assert_eq!(built, vec![sink]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must stage nothing")]
+    fn lazily_built_node_with_a_start_timer_panics() {
+        struct Ticker;
+        impl Node for Ticker {
+            fn on_packet(&mut self, _ctx: &mut NodeCtx<'_>, _pkt: Packet) {}
+            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+                ctx.set_timer(SimDuration::from_secs(1), 0);
+            }
+        }
+        let (b, _) = two_as_net(BorderPolicy::open(), BorderPolicy::open());
+        let mut rt = Runtime::lazy(Arc::new(b.finish().0), |_| Box::new(Ticker));
+        rt.add_host(
+            host("192.0.2.1", 100, StackPolicy::permissive()),
+            Box::new(Shooter {
+                src: ip("192.0.2.1"),
+                dst: ip("198.51.100.10"),
+            }),
+        );
+        rt.run();
     }
 
     #[test]

@@ -137,7 +137,10 @@ pub trait Node: std::any::Any {
     /// A timer set via [`NodeCtx::set_timer`] fired.
     fn on_timer(&mut self, _ctx: &mut NodeCtx<'_>, _token: u64) {}
 
-    /// Called once when the simulation starts (in host-id order).
+    /// Called once when the simulation starts (in host-id order) — or, for
+    /// a node a [`crate::Runtime::lazy`] runtime builds on the host's first
+    /// event, right when it is built; such a node must stage nothing and
+    /// draw nothing here.
     fn on_start(&mut self, _ctx: &mut NodeCtx<'_>) {}
 }
 

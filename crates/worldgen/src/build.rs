@@ -2,7 +2,8 @@
 //! [`Topology`] + node-blueprint table plus the ground-truth registry and
 //! DITL traces. Engines are spawned from the built [`World`] with
 //! [`World::spawn`] — one world build can back any number of concurrent
-//! shard runtimes.
+//! shard runtimes, each building a host's node only when an event first
+//! reaches the host.
 
 use crate::addressing::{carve_v4_24s, carve_v6_64s, AddressAllocator};
 use crate::config::{
@@ -64,12 +65,14 @@ pub struct ScannerSlot {
 ///
 /// A `World` holds no engine state and no logs — it is `Send + Sync` and is
 /// shared across shard threads behind one `Arc`. Each thread turns it into a
-/// live engine with [`World::spawn`].
+/// live engine with [`World::spawn`], whose runtime keeps the `Arc` to build
+/// a host's node from `blueprints` when an event first reaches the host.
 pub struct World {
     /// The immutable network world (ASes, routes, host table), shared by
     /// every runtime spawned from this world.
     pub topo: Arc<Topology>,
-    /// Behaviour recipe per topology host, in host-id order.
+    /// Behaviour recipe per topology host, in host-id order; a spawned
+    /// runtime instantiates one on the host's first event.
     pub blueprints: Vec<NodeBlueprint>,
     pub cfg: WorldConfig,
     pub geo: GeoDb,
@@ -140,56 +143,20 @@ impl World {
             .unwrap_or(false)
     }
 
-    /// Instantiate a live engine over the shared topology: a fresh query log,
-    /// fresh nodes from the blueprints, fresh per-host RNG streams. Nodes are
-    /// constructed in host-id order from the same configs `build` produced,
-    /// so every spawn behaves exactly like a freshly built world — without
-    /// paying for world generation again.
-    pub fn spawn(&self) -> WorldRuntime {
-        self.spawn_for(None)
-    }
-
-    /// Like [`spawn`](Self::spawn), but with `Some(owned)` only hosts in
-    /// the given measured ASes (plus the infrastructure, public-DNS and
-    /// scanner ASes every shard talks to) get their real node; everything
-    /// else becomes a [`Sink`](NodeBlueprint::Sink) placeholder at the
-    /// same host id.
-    ///
-    /// Sound for AS-sharded surveys because a shard only ever sends
-    /// traffic to its own destination ASes, and resolvers in non-owned
-    /// ASes are passive until probed (a resolver resolves only on a client
-    /// query; it has no self-initiated traffic) — a sink there
-    /// receives nothing it was supposed to answer. Per-host RNG streams
-    /// are keyed by host id, so the hosts that *are* instantiated behave
-    /// byte-identically to a full spawn. At Internet scale this is what
-    /// makes S-way sharding ~S-times lighter per shard: each runtime
-    /// holds ~1/S of the million-host node table.
-    pub fn spawn_for(&self, owned: Option<&HashSet<Asn>>) -> WorldRuntime {
+    /// Instantiate a live engine over the shared topology: a fresh query
+    /// log, and a runtime that builds each host's node from its blueprint
+    /// (with the host's fresh RNG stream) on the host's first event
+    /// ([`Runtime::lazy`]). Every worldgen node is passive until its first
+    /// packet, so each host an event reaches behaves exactly as in a
+    /// freshly built world, and a shard that probes a few thousand targets
+    /// of a million-host world holds a few thousand nodes.
+    pub fn spawn(self: &Arc<Self>) -> WorldRuntime {
         let log = shared_log();
-        let sink = NodeBlueprint::Sink;
-        let nodes = self
-            .blueprints
-            .iter()
-            .enumerate()
-            .map(|(id, b)| {
-                let live = match owned {
-                    None => true,
-                    Some(set) => {
-                        let asn = self.topo.host_asn(id);
-                        asn == INFRA_ASN
-                            || asn == PUBLIC_DNS_ASN
-                            || asn == SCANNER_ASN
-                            || set.contains(&asn)
-                    }
-                };
-                if live {
-                    b.instantiate(&log)
-                } else {
-                    sink.instantiate(&log)
-                }
-            })
-            .collect();
-        let mut net = Runtime::new(Arc::clone(&self.topo), nodes);
+        let world = Arc::clone(self);
+        let node_log = log.clone();
+        let mut net = Runtime::lazy(Arc::clone(&self.topo), move |id| {
+            world.blueprints[id].instantiate(&node_log)
+        });
         net.set_faults(self.faults.clone());
         WorldRuntime { net, log }
     }
@@ -1079,6 +1046,24 @@ mod tests {
         let a2: Vec<IpAddr> = w2.resolvers.iter().map(|r| r.addr).collect();
         assert_eq!(a1, a2);
         assert_eq!(w1.ditl2019.len(), w2.ditl2019.len());
+    }
+
+    #[test]
+    fn spawned_runtime_builds_no_node_up_front() {
+        let w = Arc::new(build(WorldConfig::tiny(3)));
+        let wrt = w.spawn();
+        assert_eq!(wrt.net.host_count(), w.topo.host_count());
+        let resolvers = w
+            .blueprints
+            .iter()
+            .filter(|b| matches!(b, NodeBlueprint::Resolver(_)))
+            .count();
+        assert!(resolvers > 0);
+        assert_eq!(
+            wrt.net.nodes::<bcd_dns::RecursiveResolver>().count(),
+            0,
+            "a resolver was built before any event reached it"
+        );
     }
 
     #[test]
